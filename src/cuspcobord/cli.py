@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any, Optional
@@ -58,7 +59,7 @@ def _fmt(value: Any) -> str:
 
 def _emit(lines: list[tuple[str, Any]], payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
     else:
         for key, value in lines:
             print(f"{key}={_fmt(value)}")
@@ -66,7 +67,7 @@ def _emit(lines: list[tuple[str, Any]], payload: dict, as_json: bool) -> None:
 
 def _write_json_file(path: str, obj: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -287,8 +288,7 @@ def _cmd_trace(args) -> int:
                                + ((-0.75, 0.75, 5),) * (n - 1))
         report = nf.perturbed_fold_image(args.i, n, alpha, beta, tol=tol,
                                          grid=grid)
-        m = nf.LocalMap(n, nf.PerturbedFold(args.i, alpha, beta))
-        samples = nf.detect_singular_set(m, grid, tol=max(tol, 1e-10))
+        samples = report.detected
         beta0 = beta(0.0)
         lo, hi = alpha.support()
         ts = np.linspace(lo - 1.0, hi + 1.0, 401)
@@ -341,7 +341,8 @@ def _cmd_trace(args) -> int:
             curve = nf.PlanarCurve(tuple(curve_obj.image_point(float(x))
                                          for x in sweep))
             lines.append(("max_curve_distance", dist))
-            payload["max_curve_distance"] = dist
+            # undefined without samples; JSON has no NaN
+            payload["max_curve_distance"] = dist if samples else None
         elif kind == "fold":
             ts = [s.point[0] for s in samples] or [-1.0, 1.0]
             curve = nf.PlanarCurve(((min(ts), 0.0), (max(ts), 0.0)))
@@ -382,8 +383,25 @@ def _cmd_trace(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        # one stderr line, like every other error the tool reports
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cuspcobord",
         description="Cobordism invariants of Morse functions and the "
                     "fold/cusp combinatorics of their generic extensions.")
@@ -434,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                "local model")
     p_tr.add_argument("kind", choices=("swallowtail", "perturbed-fold",
                                        "fold", "cusp"))
-    p_tr.add_argument("--t", type=float, default=1.0,
+    p_tr.add_argument("--t", type=_finite_float, default=1.0,
                       help="family parameter for swallowtail")
     p_tr.add_argument("--n", type=int, default=3, help="ambient dimension")
     p_tr.add_argument("--i", type=int, default=0,
@@ -447,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="perturbation bump center:radius:height in |z|^2")
     p_tr.add_argument("--grid", help="seed grid lo:hi:count per axis, "
                                      "comma-separated")
-    p_tr.add_argument("--tol", type=float, default=1e-9,
+    p_tr.add_argument("--tol", type=_finite_float, default=1e-9,
                       help="residual tolerance for accepting singular points")
     p_tr.add_argument("--out", help="write the SVG/CSV artifact here")
     fmt = p_tr.add_mutually_exclusive_group()

@@ -15,9 +15,9 @@ to SVG/CSV.  All floating point in the package lives here.
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_right
-from dataclasses import dataclass, field
+import math
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -52,6 +52,8 @@ NEWTON_RESIDUAL = 1e-12
 DEDUP_RADIUS = 1e-6
 HESSIAN_RANK_RATIO = 1e-5
 NEWTON_MAXITER = 80
+NEWTON_BLOCK = 2048  # seeds per batch, so memory does not grow with the grid
+MAX_SEEDS = 10 ** 6  # seed budget of one detection
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,25 @@ class PiecewisePoly:
             return 0.0
         j = min(bisect_right(self.knots, t) - 1, len(self.pieces) - 1)
         return _poly_eval(self.pieces[j], t)
+
+    def at(self, u: np.ndarray) -> np.ndarray:
+        """Values at every entry of u, each equal to ``self(entry)``: the
+        same Horner steps, elementwise."""
+        out = np.zeros(u.shape)
+        inside = (u >= self.knots[0]) & (u <= self.knots[-1])
+        ui = u[inside]
+        j = np.minimum(np.searchsorted(self.knots, ui, side="right") - 1,
+                       len(self.pieces) - 1)
+        # highest power first, padded with zero leading coefficients: a
+        # padded step leaves the accumulator at +0.0, where Horner starts
+        width = max(len(c) for c in self.pieces)
+        table = np.array([(0.0,) * (width - len(c)) + tuple(reversed(c))
+                          for c in self.pieces])[j]
+        acc = np.zeros(ui.shape)
+        for c in table.T:
+            acc = acc * ui + c
+        out[inside] = acc
+        return out
 
     def derivative(self) -> "PiecewisePoly":
         return PiecewisePoly(self.knots,
@@ -276,58 +297,86 @@ def jacobian(m: LocalMap, p: Sequence[float]) -> np.ndarray:
     if len(p) != m.n:
         raise PreconditionError(
             f"point has {len(p)} coordinates, map expects {m.n}")
-    p = [float(v) for v in p]
-    t, rest = p[0], np.asarray(p[1:])
+    t, *z = (float(v) for v in p)
+    rest = np.array(z)
     k = m.kind
-    eps = _quad_signs(m)
     out = np.zeros((2, m.n))
     out[0, 0] = 1.0
-    if isinstance(k, Fold):
-        out[1, 1:] = 2 * eps * rest
-    elif isinstance(k, Cusp):
-        x, z = rest[0], rest[1:]
-        out[1, 0] = x
-        out[1, 1] = 3 * x ** 2 + t
-        out[1, 2:] = 2 * eps * z
-    elif isinstance(k, SwallowTail):
-        x, z = rest[0], rest[1:]
-        out[1, 0] = x
-        out[1, 1] = x ** 3 / 3 - k.t * x + t
-        out[1, 2:] = 2 * eps * z
-    else:
-        assert isinstance(k, PerturbedFold)
-        r = float(rest @ rest)
-        beta_d = k.beta.derivative()
-        alpha_d = k.alpha.derivative()
-        out[1, 0] = alpha_d(t) * k.beta(r)
-        out[1, 1:] = 2 * rest * (eps + k.alpha(t) * beta_d(r))
+    if isinstance(k, (Cusp, SwallowTail)):
+        out[1, 0] = z[0]
+    elif isinstance(k, PerturbedFold):
+        out[1, 0] = k.alpha.derivative()(t) * k.beta(float(rest @ rest))
+    out[1, 1:] = _z_grad(m, t, rest)
     return out
 
 
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k elementwise, each entry rounded as the scalar
+    ``np.float64 ** k`` (libm pow); array ``**`` takes SIMD and multiply
+    fast paths that round some entries differently."""
+    try:
+        return np.array([math.pow(v, k) for v in x.tolist()])
+    except OverflowError:  # where the scalar power gives inf, with a warning
+        return np.array([np.float64(v) ** k for v in x.tolist()])
+
+
+# The z-derivatives below take one row per point: T holds the (fixed) first
+# coordinates, Z the z-coordinates.  Every entry goes through the same
+# floating-point operations, in the same order, as for that point alone.
+
+
+def _z_grad_rows(m: LocalMap, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    k = m.kind
+    eps = _quad_signs(m)
+    if isinstance(k, Fold):
+        return 2 * eps * Z
+    if isinstance(k, PerturbedFold):
+        ab1 = k.alpha.at(T) * k.beta.derivative().at(np.vecdot(Z, Z))
+        return 2 * Z * (eps + ab1[:, None])
+    x = Z[:, 0]
+    G = np.empty_like(Z)
+    if isinstance(k, Cusp):
+        G[:, 0] = 3 * _pow(x, 2) + T
+    else:
+        G[:, 0] = _pow(x, 3) / 3 - k.t * x + T
+    G[:, 1:] = 2 * eps * Z[:, 1:]
+    return G
+
+
+def _z_hess_rows(m: LocalMap, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    k = m.kind
+    eps = _quad_signs(m)
+    rows, dim = Z.shape
+    H = np.zeros((rows, dim, dim))
+    diag = np.arange(dim)
+    if isinstance(k, PerturbedFold):
+        r = np.vecdot(Z, Z)
+        a = k.alpha.at(T)
+        beta_d = k.beta.derivative()
+        H[:, diag, diag] = 2 * (eps + (a * beta_d.at(r))[:, None])
+        H += ((4 * a) * beta_d.derivative().at(r))[:, None, None] * (
+            Z[:, :, None] * Z[:, None, :])
+        return H
+    if isinstance(k, Fold):
+        H[:, diag, diag] = 2 * eps
+    else:
+        H[:, diag[1:], diag[1:]] = 2 * eps
+        H[:, 0, 0] = (6 * Z[:, 0] if isinstance(k, Cusp)
+                      else _pow(Z[:, 0], 2) - k.t)
+    return H
+
+
 def _z_grad(m: LocalMap, t: float, z: np.ndarray) -> np.ndarray:
-    return jacobian(m, [t, *z])[1, 1:]
+    return _z_grad_rows(m, np.array([t]), np.array([z], dtype=float))[0]
 
 
 def _z_hess(m: LocalMap, t: float, z: np.ndarray) -> np.ndarray:
-    k = m.kind
-    eps = _quad_signs(m)
-    dim = m.n - 1
-    if isinstance(k, Fold):
-        return np.diag(2 * eps)
-    if isinstance(k, Cusp):
-        diag = np.concatenate([[6 * z[0]], 2 * eps])
-        return np.diag(diag)
-    if isinstance(k, SwallowTail):
-        diag = np.concatenate([[z[0] ** 2 - k.t], 2 * eps])
-        return np.diag(diag)
-    assert isinstance(k, PerturbedFold)
-    r = float(z @ z)
-    a = k.alpha(t)
-    b1 = k.beta.derivative()(r)
-    b2 = k.beta.derivative().derivative()(r)
-    H = np.diag(2 * (eps + a * b1))
-    H += 4 * a * b2 * np.outer(z, z)
-    return H
+    return _z_hess_rows(m, np.array([t]), np.array([z], dtype=float))[0]
+
+
+def _row_norms(G: np.ndarray) -> np.ndarray:
+    # sqrt of the BLAS dot, exactly as np.linalg.norm of each row
+    return np.sqrt(np.vecdot(G, G))
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +412,24 @@ class GridSpec:
     def uniform(cls, lo: float, hi: float, count: int, dims: int) -> "GridSpec":
         return cls(tuple((lo, hi, count) for _ in range(dims)))
 
-    def points(self):
+    @property
+    def size(self) -> int:
+        """Number of grid points."""
+        return math.prod(count for _, _, count in self.axes)
+
+    def blocks(self, rows: int):
+        """The grid points in lexicographic order (last axis fastest), as
+        arrays of at most ``rows`` points each."""
         lines = [np.linspace(lo, hi, count) for lo, hi, count in self.axes]
-        for combo in itertools.product(*lines):
-            yield np.array(combo)
+        shape = tuple(count for _, _, count in self.axes)
+        for start in range(0, self.size, rows):
+            index = np.unravel_index(
+                np.arange(start, min(start + rows, self.size)), shape)
+            yield np.column_stack([line[i] for line, i in zip(lines, index)])
+
+    def points(self):
+        for block in self.blocks(NEWTON_BLOCK):
+            yield from block
 
 
 @dataclass(frozen=True)
@@ -384,32 +447,67 @@ class SingularSample:
         return self.kind
 
 
-def _newton_z(m: LocalMap, t: float,
-              z0: np.ndarray) -> tuple[np.ndarray, float]:
-    z = np.array(z0, dtype=float)
-    res = float(np.linalg.norm(_z_grad(m, t, z)))
-    for _ in range(NEWTON_MAXITER):
-        if res < NEWTON_RESIDUAL:
-            break
-        g = _z_grad(m, t, z)
-        H = _z_hess(m, t, z)
+def _newton_steps(m: LocalMap, T: np.ndarray, Z: np.ndarray,
+                  G: np.ndarray) -> np.ndarray:
+    """Solve H step = G for each row's z-Hessian H; least squares where H is
+    exactly singular."""
+    H = _z_hess_rows(m, T, Z)
+    if isinstance(m.kind, PerturbedFold):
         try:
-            step = np.linalg.solve(H, g)
+            return np.linalg.solve(H, G[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, g, rcond=None)[0]
+            steps, retry = np.empty_like(G), range(len(G))
+    else:
+        # diagonal Hessians: an LU solve reduces to this division exactly
+        D = H.diagonal(axis1=1, axis2=2)
+        regular = np.all(D != 0, axis=1)
+        steps = np.empty_like(G)
+        steps[regular] = G[regular] / D[regular]
+        retry = np.flatnonzero(~regular)
+    for i in retry:
+        try:
+            steps[i] = np.linalg.solve(H[i], G[i])
+        except np.linalg.LinAlgError:
+            steps[i] = np.linalg.lstsq(H[i], G[i], rcond=None)[0]
+    return steps
+
+
+def _newton_rows(m: LocalMap, T: np.ndarray,
+                 Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton in z for every row at its fixed first coordinate.
+
+    Each row follows the one-seed iteration exactly: stop below
+    NEWTON_RESIDUAL or after NEWTON_MAXITER steps; halve the step up to 25
+    times until the residual drops, and stop a row whose residual never
+    does.  Returns the final z and residual of every row.
+    """
+    Z = Z.copy()
+    G = _z_grad_rows(m, T, Z)
+    res = _row_norms(G)
+    live = np.arange(len(T))
+    for _ in range(NEWTON_MAXITER):
+        live = live[~(res[live] < NEWTON_RESIDUAL)]
+        if not live.size:
+            break
+        t, z = T[live], Z[live]
+        step = _newton_steps(m, t, z, G[live])
+        improved = np.zeros(live.size, dtype=bool)
+        todo = np.arange(live.size)
         scale = 1.0
-        improved = False
         for _ in range(25):
-            zn = z - scale * step
-            rn = float(np.linalg.norm(_z_grad(m, t, zn)))
-            if rn < res:
-                z, res = zn, rn
-                improved = True
+            zn = z[todo] - scale * step[todo]
+            gn = _z_grad_rows(m, t[todo], zn)
+            rn = _row_norms(gn)
+            ok = rn < res[live[todo]]
+            rows = live[todo[ok]]
+            Z[rows], G[rows], res[rows] = zn[ok], gn[ok], rn[ok]
+            improved[todo[ok]] = True
+            todo = todo[~ok]
+            if not todo.size:
                 break
             scale /= 2
-        if not improved:
-            break
-    return z, res
+        live = live[improved]
+    return Z, res
 
 
 def _canonical_key(point: Sequence[float]) -> tuple:
@@ -419,12 +517,29 @@ def _canonical_key(point: Sequence[float]) -> tuple:
         round(float(point[0]), 12),)
 
 
-def _dedup(points: list[np.ndarray], radius: float) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    for p in sorted(points, key=_canonical_key):
-        if all(np.linalg.norm(p - q) > radius for q in kept):
-            kept.append(p)
-    return kept
+def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
+    """The rows in canonical order, dropping each row within ``radius`` of
+    a row kept before it.
+
+    Kept rows are sorted by their leading key, so only those whose leading
+    key lies within 2 * radius below the candidate's can be that close.  An
+    exact repeat of a scanned row is dropped unchecked: the row that kept
+    out its first copy, or that copy itself, is within radius of it.
+    """
+    keys = [_canonical_key(p) for p in points.tolist()]
+    kept = np.empty_like(points)
+    leads: list[float] = []
+    seen: set[bytes] = set()
+    for i in sorted(range(len(keys)), key=keys.__getitem__):
+        row = points[i].tobytes()
+        if row in seen:
+            continue
+        seen.add(row)
+        near = kept[bisect_left(leads, keys[i][0] - 2 * radius):len(leads)]
+        if np.all(_row_norms(points[i] - near) > radius):
+            kept[len(leads)] = points[i]
+            leads.append(keys[i][0])
+    return kept[:len(leads)]
 
 
 def _classify(m: LocalMap, point: np.ndarray) -> tuple[str, Optional[int]]:
@@ -490,19 +605,27 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
     cusps are polished: a Hessian-determinant sign change between
     neighboring samples seeds a second Newton iteration on the extended
     system, and the sharpened cusp replaces any coarse samples near it.
+    A tolerance that is not positive and a grid of more than MAX_SEEDS
+    seeds are refused before any work.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise PreconditionError("tolerance must be positive")
     if len(grid.axes) != m.n:
         raise PreconditionError(
             f"grid has {len(grid.axes)} axes, map expects {m.n}")
-    converged: list[np.ndarray] = []
-    for seed in grid.points():
-        t = float(seed[0])
-        z, res = _newton_z(m, t, seed[1:])
-        if res < tol:
-            converged.append(np.concatenate([[t], z]))
-    kept = _dedup(converged, DEDUP_RADIUS)
+    seeds = 1
+    for _, _, count in grid.axes:  # stops early: n may be huge
+        seeds *= count
+        if seeds > MAX_SEEDS:
+            raise PreconditionError(
+                f"grid has more than {MAX_SEEDS} seeds, the budget of one "
+                f"detection")
+    converged = []
+    for seeds in grid.blocks(NEWTON_BLOCK):
+        z, res = _newton_rows(m, seeds[:, 0], seeds[:, 1:])
+        ok = res < tol
+        converged.append(np.column_stack([seeds[ok, 0], z[ok]]))
+    kept = _dedup(np.concatenate(converged), DEDUP_RADIUS)
 
     # hunt cusps between neighbors whose Hessian determinant changes sign
     dets = [float(np.linalg.det(_z_hess(m, float(p[0]), p[1:])))
@@ -514,12 +637,9 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
         cusp, res = _polish_cusp(m, (a + b) / 2)
         if res < 1e-9:
             polished.append(cusp)
-    polished = _dedup(polished, DEDUP_RADIUS)
+    cusp_points = _dedup(np.reshape(polished, (-1, m.n)), DEDUP_RADIUS)
 
     final: list[np.ndarray] = []
-    cusp_points: list[np.ndarray] = []
-    for c in polished:
-        cusp_points.append(c)
     for p in kept:
         if all(np.linalg.norm(p - c) > DEDUP_RADIUS for c in cusp_points):
             final.append(p)
@@ -636,13 +756,17 @@ def check_perturbation_condition(alpha: PiecewisePoly, beta: PiecewisePoly,
 class PerturbedFoldReport:
     """Numerical verification that a passing perturbation keeps the
     singular set on the parameter axis and moves the image onto the
-    predicted graph."""
+    predicted graph.  ``detected`` holds the singular samples checked."""
 
     sup_product: float
-    samples: int
+    detected: tuple[SingularSample, ...]
     max_axis_distance: float
     max_image_error: float
     tol: float
+
+    @property
+    def samples(self) -> int:
+        return len(self.detected)
 
     @property
     def ok(self) -> bool:
@@ -679,7 +803,7 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
         max_img = max(max_img, abs(h - alpha(t) * beta0))
     return PerturbedFoldReport(
         sup_product=perturbation_supremum(alpha, beta),
-        samples=len(samples),
+        detected=tuple(samples),
         max_axis_distance=max_axis,
         max_image_error=max_img,
         tol=tol,

@@ -303,7 +303,7 @@ def test_criterion_8_numeric_normal_forms():
             jac = nf.jacobian(m, point)
             ref = _fd_jacobian(m, point)
             rel = np.max(np.abs(jac - ref)) / (1.0 + np.max(np.abs(ref)))
-            assert rel < 1e-6, (m.form, point, rel)
+            assert rel < 1e-6, (m.kind, point, rel)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
 

@@ -52,6 +52,21 @@ class TestExitCodes:
         assert main(["trace", "swallowtail", "--t", "0"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_grid_over_the_seed_budget(self, capsys):
+        # the default fold grid in dimension 20 has 11 * 3**18 seeds
+        assert main(["trace", "fold", "--n", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budget" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--t", "--tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_are_refused(self, flag, value, capsys):
+        assert main(["trace", "swallowtail", f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert err.count("\n") == 1
+
     def test_check_requires_sigma(self, capsys):
         pat = str(REPO_ROOT / "corpus" / "interval_0cusp.json")
         assert main(["pattern", "check", pat]) == 2
@@ -83,6 +98,27 @@ class TestJsonMode:
         payload = json.loads(capsys.readouterr().out)
         assert payload["kind"] == "fold"
         assert payload["content"].startswith("<svg")
+
+
+    def test_curve_distance_without_samples_is_null(self, capsys):
+        # no seed of this one-point grid has an exactly zero residual
+        assert main(["trace", "swallowtail", "--json", "--tol", "1e-300",
+                     "--grid", "0.5:0.5:1,0.3:0.3:1,0:0:1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["samples"] == 0
+        assert payload["max_curve_distance"] is None
+
+
+def test_perturbed_fold_trace_detects_once(monkeypatch, tmp_path, capsys):
+    from cuspcobord import normal_forms as nf
+    calls = []
+    detect = nf.detect_singular_set
+    monkeypatch.setattr(nf, "detect_singular_set",
+                        lambda *a, **k: calls.append(1) or detect(*a, **k))
+    assert main(["trace", "perturbed-fold", "--n", "2", "--csv",
+                 "--out", str(tmp_path / "pf.csv")]) == 0
+    assert "samples=41" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 class TestNormalizeOutputs:

@@ -3,61 +3,25 @@
 
 Each manifest entry records argv (with "{tmp}" placeholders for scratch
 output paths), the expected exit code, a golden file for stdout, and
-optionally golden files for artifacts written via --out.  Exits nonzero
-on the first mismatch.  Run from the repository root:
+optionally golden files for artifacts written via --out.  Every entry is
+run; the exit status is nonzero if any of them mismatches.  The manifest
+replay itself lives in tests/_corpus.py, shared with the test suite:
 
     python3 scripts/run_corpus.py
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from cuspcobord.cli import main  # noqa: E402
-
-
-def load_manifest() -> list[dict]:
-    with open(ROOT / "corpus" / "commands.json", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def run_entry(spec: dict) -> list[str]:
-    """Run one manifest entry; return a list of mismatch descriptions."""
-    problems: list[str] = []
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = [a.replace("{tmp}", tmp) for a in spec["argv"]]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        stdout = buf.getvalue().replace(tmp, "{tmp}")
-        if code != spec["exit"]:
-            problems.append(f"exit {code} != expected {spec['exit']}")
-        golden = (ROOT / "golden" / spec["golden"]).read_text(encoding="utf-8")
-        if stdout != golden:
-            problems.append(f"stdout differs from golden/{spec['golden']}")
-        for placeholder, name in spec.get("out_golden", {}).items():
-            path = Path(placeholder.replace("{tmp}", tmp))
-            if not path.exists():
-                problems.append(f"missing output file {placeholder}")
-                continue
-            produced = path.read_text(encoding="utf-8")
-            expected = (ROOT / "golden" / name).read_text(encoding="utf-8")
-            if produced != expected:
-                problems.append(f"artifact differs from golden/{name}")
-    return problems
+from _corpus import load_manifest, run_entry  # noqa: E402
 
 
 def main_script() -> int:
-    import os
-    os.chdir(ROOT)
     manifest = load_manifest()
     failures = 0
     for spec in manifest:

@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Any, Optional
 
 import numpy as np
@@ -45,6 +44,8 @@ def _read_json(path: str) -> Any:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _fmt(value: Any) -> str:
@@ -52,8 +53,6 @@ def _fmt(value: Any) -> str:
         return "yes" if value else "no"
     if isinstance(value, float):
         return "%.9g" % value
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -140,16 +139,14 @@ def _cmd_pattern(args) -> int:
             "components": len(p.components),
             "cusps": p.total_cusps,
         }
-        if args.json:
-            _emit([], payload, True)
-        else:
-            print(f"valid={_fmt(report.ok)}")
-            for v in report.violations:
-                print(f"violation={v.code}: {v.message}")
-            if report.ok:
-                print(f"components={len(p.components)}")
-                print(f"cusps={p.total_cusps}")
-                print(f"boundary_points={len(p.boundary_points)}")
+        lines = [("valid", report.ok)] + [
+            ("violation", f"{v.code}: {v.message}")
+            for v in report.violations]
+        if report.ok:
+            lines += [("components", len(p.components)),
+                      ("cusps", p.total_cusps),
+                      ("boundary_points", len(p.boundary_points))]
+        _emit(lines, payload, args.json)
         return 0 if report.ok else 1
 
     sigma = _require_sigma_file(args)
@@ -182,15 +179,12 @@ def _cmd_pattern(args) -> int:
             lines.append(("aggregate_rhs", rhs))
             payload["aggregate_lhs"] = str(lhs)
             payload["aggregate_rhs"] = str(rhs)
-        if args.json:
-            _emit([], payload, True)
-        else:
-            for key, value in lines:
-                print(f"{key}={_fmt(value)}")
-            for k, item in enumerate(comp_payload):
-                print(f"component={k} kind={item['kind']} "
-                      f"cusps={item['cusps']} "
-                      f"condition={'pass' if item['condition'] else 'fail'}")
+        for k, item in enumerate(comp_payload):
+            verdict = "pass" if item["condition"] else "fail"
+            lines.append(("component", f"{k} kind={item['kind']} "
+                                       f"cusps={item['cusps']} "
+                                       f"condition={verdict}"))
+        _emit(lines, payload, args.json)
         return 0 if vf else 1
 
     assert args.action == "normalize"
@@ -204,42 +198,32 @@ def _cmd_pattern(args) -> int:
 
     if isinstance(result, mv.Obstruction):
         ob_json = serialize.obstruction_to_json(result)
+        lines = [("status", "obstruction"), ("kind", result.kind)] + [
+            (f"witness.{key}", result.witness[key])
+            for key in sorted(result.witness)]
         if args.out:
             _write_json_file(args.out, ob_json)
-        if args.json:
-            _emit([], {"status": "obstruction", "obstruction": ob_json}, True)
-        else:
-            print("status=obstruction")
-            print(f"kind={result.kind}")
-            for key in sorted(result.witness):
-                print(f"witness.{key}={_fmt(result.witness[key])}")
-            if args.out:
-                print(f"out={args.out}")
+            lines.append(("out", args.out))
+        _emit(lines, {"status": "obstruction", "obstruction": ob_json},
+              args.json)
         return 1
 
     replayed = mv.replay(result)
     if replayed != result.final:
         raise AssertionError("internal: trace replay mismatch")
     trace_json = serialize.trace_to_json(result)
+    final = result.final
+    lines = [("status", "normalized"), ("moves", len(result.moves)),
+             ("components", len(final.components)),
+             ("cusps", final.total_cusps)]
+    payload = dict(lines)
     if args.out:
         _write_json_file(args.out, trace_json)
-    final = result.final
-    if args.json:
-        payload = {"status": "normalized", "moves": len(result.moves),
-                   "components": len(final.components),
-                   "cusps": final.total_cusps}
-        if args.out:
-            payload["out"] = args.out
-        else:
-            payload["trace"] = trace_json
-        _emit([], payload, True)
+        lines.append(("out", args.out))
+        payload["out"] = args.out
     else:
-        print("status=normalized")
-        print(f"moves={len(result.moves)}")
-        print(f"components={len(final.components)}")
-        print(f"cusps={final.total_cusps}")
-        if args.out:
-            print(f"out={args.out}")
+        payload["trace"] = trace_json
+    _emit(lines, payload, args.json)
     return 0
 
 
@@ -258,18 +242,6 @@ def _parse_bump(text: str, what: str) -> nf.PiecewisePoly:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def _default_grid(kind: str, n: int) -> nf.GridSpec:
-    if kind == "swallowtail":
-        axes = [(-1.5, 1.5, 31), (-2.0, 2.0, 21)]
-    elif kind == "cusp":
-        axes = [(-1.5, 0.5, 21), (-1.2, 1.2, 13)]
-    else:  # fold
-        axes = [(-1.0, 1.0, 11)]
-    while len(axes) < n:
-        axes.append((-0.5, 0.5, 3))
-    return nf.GridSpec(tuple(axes[:n]))
-
-
 def _cmd_trace(args) -> int:
     kind = args.kind
     n = args.n
@@ -280,12 +252,19 @@ def _cmd_trace(args) -> int:
     if kind == "perturbed-fold":
         alpha = _parse_bump(args.alpha, "--alpha")
         beta = _parse_bump(args.beta, "--beta")
-        if args.grid:
-            grid = nf.GridSpec.parse(args.grid)
-        else:
-            lo, hi = alpha.support()
-            grid = nf.GridSpec(((lo - 1.0, hi + 1.0, 41),)
-                               + ((-0.75, 0.75, 5),) * (n - 1))
+        model = nf.PerturbedFold(args.i, alpha, beta)
+    elif kind == "swallowtail":
+        model = nf.SwallowTail(args.t)
+        payload["t"] = args.t
+        lines.append(("t", args.t))
+    elif kind == "fold":
+        model = nf.Fold(args.i)
+    else:
+        model = nf.Cusp(args.k)
+    m = nf.LocalMap(n, model)
+    grid = nf.GridSpec.parse(args.grid) if args.grid else nf.default_grid(m)
+
+    if kind == "perturbed-fold":
         report = nf.perturbed_fold_image(args.i, n, alpha, beta, tol=tol,
                                          grid=grid)
         samples = report.detected
@@ -306,19 +285,6 @@ def _cmd_trace(args) -> int:
                         "max_image_error": report.max_image_error,
                         "ok": report.ok})
     else:
-        if kind == "swallowtail":
-            try:
-                m = nf.LocalMap(n, nf.SwallowTail(args.t))
-            except ValueError as exc:
-                raise PreconditionError(str(exc)) from exc
-            payload["t"] = args.t
-            lines.append(("t", args.t))
-        elif kind == "fold":
-            m = nf.LocalMap(n, nf.Fold(args.i))
-        else:
-            m = nf.LocalMap(n, nf.Cusp(args.k))
-        grid = (nf.GridSpec.parse(args.grid) if args.grid
-                else _default_grid(kind, n))
         samples = nf.detect_singular_set(m, grid, tol=tol)
         cusps = [s for s in samples if s.kind == "cusp-candidate"]
         lines.append(("samples", len(samples)))
@@ -438,11 +404,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pat.add_argument("--sigma", help="sign assignment JSON file")
     p_pat.add_argument("--chi-v", type=int, dest="chi_v",
                        help="Euler characteristic of the ambient manifold")
-    p_pat.add_argument("--assume-removable", action="store_true",
-                       help="vouch for removability of matching cusp pairs "
-                            "in ambient dimension 2 (accepted for interface "
-                            "stability; the normalization driver authorizes "
-                            "its own dimension-2 eliminations)")
     p_pat.add_argument("--out", help="write the move trace or obstruction "
                                      "JSON here")
     p_pat.set_defaults(func=_cmd_pattern)
@@ -468,11 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--tol", type=_finite_float, default=1e-9,
                       help="residual tolerance for accepting singular points")
     p_tr.add_argument("--out", help="write the SVG/CSV artifact here")
-    fmt = p_tr.add_mutually_exclusive_group()
-    fmt.add_argument("--svg", action="store_true",
-                     help="render an SVG curve plot (default)")
-    fmt.add_argument("--csv", action="store_true",
-                     help="export detected samples as CSV")
+    p_tr.add_argument("--csv", action="store_true",
+                      help="export detected samples as CSV instead of "
+                           "rendering an SVG curve plot")
     p_tr.set_defaults(func=_cmd_trace)
 
     return parser
@@ -486,10 +445,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SchemaError, PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (SchemaError, PreconditionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,6 @@ from .errors import PreconditionError
 from .invariants import (
     CobordismClass,
     SignAssignment,
-    chi_plus_sigma,
     cobordism_invariant,
 )
 from .morse import BoundaryCriticalPoint, MorseDescriptor, validate
@@ -69,11 +68,7 @@ def realize_sign_assignment(boundary: tuple[BoundaryCriticalPoint, ...],
     chi_boundary = sum((-1) ** p.mu for p in signed)
     d = MorseDescriptor(n=n, oriented=True, chi_M=chi_M,
                         chi_boundary=chi_boundary, boundary=signed)
-    report = validate(d)
-    if not report.ok:
-        raise PreconditionError(
-            "realized descriptor is invalid: "
-            + "; ".join(v.message for v in report.violations))
+    validate(d).require("realized descriptor")
     return d
 
 
@@ -92,8 +87,7 @@ def solve_sigma_for_target(boundary: tuple[BoundaryCriticalPoint, ...],
     """Find a sign assignment whose invariant equals ``target``.
 
     Returns a SignAssignment, or a NoSolution carrying the set of values
-    the invariant can attain on this boundary data.  Up to 20 points the
-    search is exhaustive in a fixed order; beyond that the answer is
+    the invariant can attain on this boundary data.  The answer is
     constructed directly from the attainable range of chi_plus, which is
     the integer interval [-(odd-index count), +(even-index count)].
     """
@@ -112,18 +106,6 @@ def solve_sigma_for_target(boundary: tuple[BoundaryCriticalPoint, ...],
     n_even = sum(1 for p in pts if p.mu % 2 == 0)
     n_odd = len(pts) - n_even
     attainable = sorted({invariant_of(cp) for cp in range(-n_odd, n_even + 1)})
-
-    if len(pts) <= 20:
-        for bits in range(2 ** len(pts)):
-            signs = {}
-            for k, p in enumerate(pts):
-                bit = (bits >> (len(pts) - 1 - k)) & 1
-                signs[p.id] = 1 if bit == 0 else -1
-            sigma = SignAssignment(signs)
-            cp = chi_plus_sigma(tuple(pts), sigma)
-            if invariant_of(cp) == target.value:
-                return sigma
-        return NoSolution(target=target, attainable=tuple(attainable))
 
     if target.value not in attainable:
         return NoSolution(target=target, attainable=tuple(attainable))

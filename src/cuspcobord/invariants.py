@@ -96,16 +96,9 @@ class CobordismClass:
         return self + (-other)
 
 
-def _require_valid(d: MorseDescriptor) -> None:
-    report = validate(d)
-    if not report.ok:
-        raise PreconditionError(
-            "invalid descriptor: " + "; ".join(v.message for v in report.violations))
-
-
 def chi_plus(d: MorseDescriptor) -> int:
     """Alternating count of inward-increasing boundary critical points."""
-    _require_valid(d)
+    validate(d).require("descriptor")
     return sum((-1) ** p.mu for p in d.boundary if p.sigma == 1)
 
 
@@ -145,7 +138,7 @@ def signed_defect(chi_P: int,
 
 def cobordism_invariant(d: MorseDescriptor) -> CobordismClass:
     """The complete cobordism invariant chi_M - chi_plus of a descriptor."""
-    _require_valid(d)
+    validate(d).require("descriptor")
     return CobordismClass.of(d.n, d.chi_M - chi_plus(d))
 
 

@@ -94,6 +94,13 @@ class ValidationReport:
     def codes(self) -> tuple[str, ...]:
         return tuple(v.code for v in self.violations)
 
+    def require(self, what: str) -> None:
+        """Raise PreconditionError naming every violation, if there is one."""
+        if not self.ok:
+            raise PreconditionError(
+                f"invalid {what}: "
+                + "; ".join(v.message for v in self.violations))
+
 
 def euler_boundary_sum(boundary: tuple[BoundaryCriticalPoint, ...]) -> int:
     """Alternating count of boundary critical points, sum of (-1)^mu."""
@@ -150,15 +157,13 @@ def validate(d: MorseDescriptor) -> ValidationReport:
             "odd-dimension-chi",
             f"n={d.n} is odd so chi_M must equal chi_boundary/2, but "
             f"chi_M={d.chi_M} and chi_boundary={d.chi_boundary}"))
+    if d.n % 2 == 0 and d.chi_boundary != 0:
+        out.append(Violation(
+            "even-dimension-chi-boundary",
+            f"n={d.n} is even so the boundary is closed and odd-dimensional "
+            f"with Euler characteristic 0, but chi_boundary={d.chi_boundary}"))
 
     return ValidationReport(tuple(out))
-
-
-def _require_valid(d: MorseDescriptor) -> None:
-    report = validate(d)
-    if not report.ok:
-        raise PreconditionError(
-            "invalid descriptor: " + "; ".join(v.message for v in report.violations))
 
 
 def disjoint_union(d1: MorseDescriptor, d2: MorseDescriptor) -> MorseDescriptor:
@@ -205,7 +210,7 @@ def reverse(d: MorseDescriptor) -> MorseDescriptor:
     boundary is odd-dimensional, so chi_boundary is zero and the factor is
     invisible.
     """
-    _require_valid(d)
+    validate(d).require("descriptor")
     interior = tuple(
         InteriorCriticalPoint(p.id, d.n - p.index,
                               None if p.value is None else -p.value)

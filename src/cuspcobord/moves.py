@@ -15,8 +15,8 @@ either choice merges circles, while two intervals always re-pair their four
 boundary endpoints two-and-two.
 
 Composite moves (parity toggle, component merge) and the two normalization
-drivers are built from the atomic moves and always return replayable
-traces.
+drivers are built from the atomic moves; a trace records only atomic moves,
+so it replays move by move.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .pattern import (
     cusp_parity_check,
     validate_pattern,
 )
-from .pattern import _require_sigma, _require_valid  # shared precondition helpers
+from .pattern import _abutting_arcs, _fresh_names, _require_sigma
 
 __all__ = [
     "STAY",
@@ -103,18 +103,6 @@ def _element_ids(p: SingularPattern) -> set[str]:
     return out
 
 
-def _fresh_ids(used: set[str], prefix: str, count: int) -> list[str]:
-    out: list[str] = []
-    k = 0
-    while len(out) < count:
-        cand = f"{prefix}{k}"
-        k += 1
-        if cand not in used:
-            out.append(cand)
-            used.add(cand)
-    return out
-
-
 def _locate_arc(p: SingularPattern, arc_id: str) -> tuple[int, int]:
     for ci, comp in enumerate(p.components):
         for pos, e in enumerate(comp.sequence):
@@ -147,18 +135,19 @@ def _create(p: SingularPattern, arc_id: str, i: int,
             f"needs tau={want}")
     inner_tau = max(i + 1, n - 2 - i)
     used = _element_ids(p)
-    c_ids = _fresh_ids(used, "c", 2)
+    cusp_names = _fresh_names(used, "c")
+    arc_names = _fresh_names(used, "a")
     i_first, i_second = (n - 2 - i, i) if flip else (i, n - 2 - i)
-    c1 = Cusp(c_ids[0], i_first)
-    c2 = Cusp(c_ids[1], i_second)
-    inner = FoldArc(_fresh_ids(used, "a", 1)[0], inner_tau)
+    c1 = Cusp(next(cusp_names), i_first)
+    c2 = Cusp(next(cusp_names), i_second)
+    inner = FoldArc(next(arc_names), inner_tau)
 
     right_arc_id: Optional[str] = None
     if comp.kind == CIRCLE and len(comp.sequence) == 1:
         # the remainder of a bare circle is a single arc, so no split
         seq = (arc, c1, inner, c2)
     else:
-        right = FoldArc(_fresh_ids(used, "a", 1)[0], arc.tau)
+        right = FoldArc(next(arc_names), arc.tau)
         right_arc_id = right.id
         seq = (comp.sequence[:pos]
                + (arc, c1, inner, c2, right)
@@ -293,20 +282,13 @@ def _glue(paths: list[_Path],
     return intervals, circles
 
 
-def _abut(comp: Component, pos: int) -> tuple[FoldArc, FoldArc]:
-    seq = comp.sequence
-    left = seq[pos - 1]
-    right = seq[(pos + 1) % len(seq)] if comp.kind == CIRCLE else seq[pos + 1]
-    return left, right
-
-
 def _fusion_plan(p: SingularPattern, c1_id: str, c2_id: str,
                  reconnection: str):
     """Arc pairs and end-label pairs an elimination would fuse."""
     ci1, pos1 = _locate_cusp(p, c1_id)
     ci2, pos2 = _locate_cusp(p, c2_id)
-    l1, r1 = _abut(p.components[ci1], pos1)
-    l2, r2 = _abut(p.components[ci2], pos2)
+    l1, r1 = _abutting_arcs(p.components[ci1], pos1)
+    l2, r2 = _abutting_arcs(p.components[ci2], pos2)
     if reconnection == STAY:
         arc_pairs = ((l1, l2), (r1, r2))
         label_pairs = [(("cut", c1_id, "L"), ("cut", c2_id, "L")),
@@ -376,30 +358,49 @@ def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
     return out
 
 
-def _ladder_to(p: SingularPattern, comp_idx: int,
-               target_tau: int) -> tuple[SingularPattern, list[Move]]:
+# The drivers below apply every atomic move through these two helpers, which
+# record it in ``moves`` from the same arguments.
+
+
+def _do_create(p: SingularPattern, moves: list[Move], arc_id: str, i: int,
+               flip: bool = False) -> tuple[SingularPattern, dict]:
+    moves.append(Move("create_cusp_pair",
+                      {"arc": arc_id, "i": i, "flip": flip}))
+    return _create(p, arc_id, i, flip)
+
+
+def _do_eliminate(p: SingularPattern, moves: list[Move], c1_id: str,
+                  c2_id: str, reconnection: str) -> SingularPattern:
+    # the drivers authorize their own eliminations in dimension 2
+    assume_removable = p.n == 2
+    moves.append(Move("eliminate_matching_pair",
+                      {"cusp1": c1_id, "cusp2": c2_id,
+                       "reconnection": reconnection,
+                       "assume_removable": assume_removable}))
+    return eliminate_matching_pair(p, c1_id, c2_id, reconnection,
+                                   assume_removable)
+
+
+def _ladder_to(p: SingularPattern, comp_idx: int, target_tau: int,
+               moves: list[Move]) -> SingularPattern:
     """Create pairs on a component until it carries an arc of the target
     index.  Each step works on its lowest-index arc, pushing one lower."""
     cur = p
-    moves: list[Move] = []
     n = p.n
     while True:
         comp = cur.components[comp_idx]
         arcs = comp.arcs()
         if any(a.tau == target_tau for a in arcs):
-            return cur, moves
+            return cur
         tmin = min(a.tau for a in arcs)
         if tmin <= target_tau:
             raise AssertionError("internal: ladder overshot the target index")
         arc = next(a for a in arcs if a.tau == tmin)
-        i = n - 1 - tmin
-        cur, _ = _create(cur, arc.id, i)
-        moves.append(Move("create_cusp_pair",
-                          {"arc": arc.id, "i": i, "flip": False}))
+        cur, _ = _do_create(cur, moves, arc.id, n - 1 - tmin)
 
 
-def _toggle_parity(p: SingularPattern,
-                   comp_idx: int) -> tuple[SingularPattern, list[Move]]:
+def _toggle_parity(p: SingularPattern, comp_idx: int,
+                   moves: list[Move]) -> SingularPattern:
     n = p.n
     if n % 2 != 0:
         raise PreconditionError(f"parity toggle needs even n, got {n}")
@@ -408,28 +409,18 @@ def _toggle_parity(p: SingularPattern,
     if p.components[comp_idx].kind != INTERVAL:
         raise PreconditionError("parity toggle acts on interval components")
     target = n // 2
-    cur, moves = _ladder_to(p, comp_idx, target)
+    cur = _ladder_to(p, comp_idx, target, moves)
 
     comp = cur.components[comp_idx]
     arc_a = next(a for a in comp.arcs() if a.tau == target)
-    cur, info1 = _create(cur, arc_a.id, target - 1)
-    moves.append(Move("create_cusp_pair",
-                      {"arc": arc_a.id, "i": target - 1, "flip": False}))
+    cur, info1 = _do_create(cur, moves, arc_a.id, target - 1)
     right = info1["right_arc"]
     assert right is not None
-    cur, info2 = _create(cur, right, target - 1)
-    moves.append(Move("create_cusp_pair",
-                      {"arc": right, "i": target - 1, "flip": False}))
+    cur, info2 = _do_create(cur, moves, right, target - 1)
     # both created pairs sit at the exceptional index, so SPLIT is legal;
     # it detaches the circle carrying the middle cusp, leaving one extra
     # cusp on the interval
-    cur = eliminate_matching_pair(cur, info1["cusp1"], info2["cusp1"],
-                                  SPLIT, assume_removable=(n == 2))
-    moves.append(Move("eliminate_matching_pair",
-                      {"cusp1": info1["cusp1"], "cusp2": info2["cusp1"],
-                       "reconnection": SPLIT,
-                       "assume_removable": n == 2}))
-    return cur, moves
+    return _do_eliminate(cur, moves, info1["cusp1"], info2["cusp1"], SPLIT)
 
 
 def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
@@ -438,7 +429,7 @@ def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
     The interval gains one cusp net and a one-cusp circle appears next to
     it; total cusp count changes by +2.
     """
-    return _toggle_parity(p, comp_idx)[0]
+    return _toggle_parity(p, comp_idx, [])
 
 
 def _endpoint_home(p: SingularPattern, point_id: str) -> int:
@@ -453,18 +444,14 @@ def _merge_once(p: SingularPattern, idx_a: int, idx_b: int,
                 flip: bool) -> tuple[SingularPattern, list[Move]]:
     n = p.n
     t = (n - 1) // 2
-    cur, moves = _ladder_to(p, idx_a, t)
-    cur, more = _ladder_to(cur, idx_b, t)
-    moves += more
+    moves: list[Move] = []
+    cur = _ladder_to(p, idx_a, t, moves)
+    cur = _ladder_to(cur, idx_b, t, moves)
 
     arc_a = next(a for a in cur.components[idx_a].arcs() if a.tau == t)
-    cur, info_a = _create(cur, arc_a.id, t)
-    moves.append(Move("create_cusp_pair",
-                      {"arc": arc_a.id, "i": t, "flip": False}))
+    cur, info_a = _do_create(cur, moves, arc_a.id, t)
     arc_b = next(a for a in cur.components[idx_b].arcs() if a.tau == t)
-    cur, info_b = _create(cur, arc_b.id, t, flip=flip)
-    moves.append(Move("create_cusp_pair",
-                      {"arc": arc_b.id, "i": t, "flip": flip}))
+    cur, info_b = _do_create(cur, moves, arc_b.id, t, flip)
 
     # cross pair with indices summing to n-2: the (t-1)-cusp from a with
     # the t-cusp from b
@@ -472,12 +459,7 @@ def _merge_once(p: SingularPattern, idx_a: int, idx_b: int,
     cb = info_b["cusp2"] if flip else info_b["cusp1"]
     legal = legal_reconnections(cur, ca, cb)
     assert len(legal) == 1, "odd n leaves no reconnection freedom"
-    cur = eliminate_matching_pair(cur, ca, cb, legal[0])
-    moves.append(Move("eliminate_matching_pair",
-                      {"cusp1": ca, "cusp2": cb,
-                       "reconnection": legal[0],
-                       "assume_removable": False}))
-    return cur, moves
+    return _do_eliminate(cur, moves, ca, cb, legal[0]), moves
 
 
 def _merge(p: SingularPattern, idx_a: int, idx_b: int,
@@ -548,7 +530,7 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
     n = p.n
     if n % 2 != 0:
         raise PreconditionError(f"even normalization called with n={n}")
-    _require_valid(p)
+    validate_pattern(p).require("pattern")
     _require_sigma(p, sigma)
     if not cusp_parity_check(p, chi_V):
         raise PreconditionError(
@@ -572,8 +554,7 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
                     if comp.kind == INTERVAL and not ok), None)
         if bad is None:
             break
-        cur, more = _toggle_parity(cur, bad)
-        moves += more
+        cur = _toggle_parity(cur, bad, moves)
 
     while True:
         odd = [k for k, comp in enumerate(cur.components)
@@ -585,12 +566,7 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
         c1 = _first_exceptional_cusp(cur.components[i1], n)
         c2 = _first_exceptional_cusp(cur.components[i2], n)
         recon = legal_reconnections(cur, c1.id, c2.id)[0]
-        cur = eliminate_matching_pair(cur, c1.id, c2.id, recon,
-                                      assume_removable=(n == 2))
-        moves.append(Move("eliminate_matching_pair",
-                          {"cusp1": c1.id, "cusp2": c2.id,
-                           "reconnection": recon,
-                           "assume_removable": n == 2}))
+        cur = _do_eliminate(cur, moves, c1.id, c2.id, recon)
         if n == 2:
             # dimension 2 admits a stronger rewrite: the fused circle can
             # be made cusp-free outright, two cusps at a time
@@ -598,12 +574,7 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
             while cur.components[at].cusp_count:
                 cusps = cur.components[at].cusps()
                 ca, cb = cusps[0], cusps[1]
-                cur = eliminate_matching_pair(cur, ca.id, cb.id, STAY,
-                                              assume_removable=True)
-                moves.append(Move("eliminate_matching_pair",
-                                  {"cusp1": ca.id, "cusp2": cb.id,
-                                   "reconnection": STAY,
-                                   "assume_removable": True}))
+                cur = _do_eliminate(cur, moves, ca.id, cb.id, STAY)
 
     assert all(check_condition_even(cur, sigma))
     return MoveTrace(p, tuple(moves), cur)
@@ -621,7 +592,7 @@ def normalize_odd(p: SingularPattern,
     n = p.n
     if n % 2 != 1:
         raise PreconditionError(f"odd normalization called with n={n}")
-    _require_valid(p)
+    validate_pattern(p).require("pattern")
     _require_sigma(p, sigma)
     by_id = p.boundary_by_id()
     eps = {pid: (-1) ** pt.mu * sigma.sign(pid)
@@ -660,13 +631,6 @@ def apply_move(p: SingularPattern, move: Move) -> SingularPattern:
             p, params["cusp1"], params["cusp2"],
             params.get("reconnection", STAY),
             params.get("assume_removable", False))
-    if k == "toggle_parity":
-        return toggle_parity(p, params["component"])
-    if k == "merge_components":
-        return merge_components(p, params["component_a"],
-                                params["component_b"],
-                                params.get("endpoint_a"),
-                                params.get("endpoint_b"))
     raise PreconditionError(f"unknown move kind {k!r}")
 
 

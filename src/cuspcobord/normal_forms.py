@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "evaluate",
     "jacobian",
     "GridSpec",
+    "default_grid",
     "SingularSample",
     "detect_singular_set",
     "SwallowTailCurve",
@@ -427,9 +428,41 @@ class GridSpec:
                 np.arange(start, min(start + rows, self.size)), shape)
             yield np.column_stack([line[i] for line, i in zip(lines, index)])
 
-    def points(self):
-        for block in self.blocks(NEWTON_BLOCK):
-            yield from block
+
+def _add_axis(seeds: int, count: int) -> int:
+    """Seeds of a grid after one more axis of ``count`` values; a grid over
+    the budget is refused."""
+    seeds *= count
+    if seeds > MAX_SEEDS:
+        raise PreconditionError(
+            f"grid has more than {MAX_SEEDS} seeds, the budget of one "
+            f"detection")
+    return seeds
+
+
+def default_grid(m: LocalMap) -> GridSpec:
+    """The seed grid of a model when none is given: fixed leading axes per
+    kind, then a short axis for every further coordinate.  Seeds are
+    counted while the axes are made, so a grid over the budget is refused
+    before its n axes exist."""
+    k = m.kind
+    pad = (-0.5, 0.5, 3)
+    if isinstance(k, SwallowTail):
+        head = [(-1.5, 1.5, 31), (-2.0, 2.0, 21)]
+    elif isinstance(k, Cusp):
+        head = [(-1.5, 0.5, 21), (-1.2, 1.2, 13)]
+    elif isinstance(k, PerturbedFold):
+        lo, hi = k.alpha.support()
+        head, pad = [(lo - 1.0, hi + 1.0, 41)], (-0.75, 0.75, 5)
+    else:  # Fold
+        head = [(-1.0, 1.0, 11)]
+    axes: list[tuple[float, float, int]] = []
+    seeds = 1
+    while len(axes) < m.n:
+        axis = head[len(axes)] if len(axes) < len(head) else pad
+        seeds = _add_axis(seeds, axis[2])
+        axes.append(axis)
+    return GridSpec(tuple(axes))
 
 
 @dataclass(frozen=True)
@@ -614,12 +647,8 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
         raise PreconditionError(
             f"grid has {len(grid.axes)} axes, map expects {m.n}")
     seeds = 1
-    for _, _, count in grid.axes:  # stops early: n may be huge
-        seeds *= count
-        if seeds > MAX_SEEDS:
-            raise PreconditionError(
-                f"grid has more than {MAX_SEEDS} seeds, the budget of one "
-                f"detection")
+    for _, _, count in grid.axes:
+        seeds = _add_axis(seeds, count)
     converged = []
     for seeds in grid.blocks(NEWTON_BLOCK):
         z, res = _newton_rows(m, seeds[:, 0], seeds[:, 1:])
@@ -737,19 +766,10 @@ def perturbation_supremum(alpha: PiecewisePoly, beta: PiecewisePoly) -> float:
 
 
 def check_perturbation_condition(alpha: PiecewisePoly, beta: PiecewisePoly,
-                                 grid: Optional[GridSpec] = None,
                                  margin: float = 1e-6) -> bool:
-    """Whether |alpha(t) * beta'(r)| stays below 1 with the given margin.
-
-    The exact supremum is used; an optional grid is accepted for interface
-    symmetry but cannot exceed the exact value.
-    """
-    sup = perturbation_supremum(alpha, beta)
-    if grid is not None:
-        for p in grid.points():
-            val = abs(alpha(float(p[0])) * beta.derivative()(float(p[-1])))
-            sup = max(sup, val)
-    return sup < 1.0 - margin
+    """Whether |alpha(t) * beta'(r)| stays below 1 with the given margin,
+    judged on the exact supremum."""
+    return perturbation_supremum(alpha, beta) < 1.0 - margin
 
 
 @dataclass(frozen=True)
@@ -788,9 +808,7 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
             f"1 - {margin:g}")
     m = LocalMap(n, PerturbedFold(index, alpha, beta))
     if grid is None:
-        lo, hi = alpha.support()
-        axes = ((lo - 1.0, hi + 1.0, 41),) + ((-0.75, 0.75, 5),) * (n - 1)
-        grid = GridSpec(axes)
+        grid = default_grid(m)
     samples = detect_singular_set(m, grid, tol=max(tol, 1e-10))
     beta0 = beta(0.0)
     max_axis = 0.0

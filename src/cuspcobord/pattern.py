@@ -147,14 +147,13 @@ class SingularPattern:
 
 
 def _abutting_arcs(comp: Component, pos: int) -> tuple[FoldArc, FoldArc]:
-    """Arcs immediately before and after the cusp at word position pos."""
+    """Arcs immediately before and after the cusp at word position pos.
+
+    A cusp is never last in an interval's word, so wrapping around only
+    ever happens on a circle."""
     seq = comp.sequence
-    if comp.kind == CIRCLE:
-        left = seq[pos - 1]
-        right = seq[(pos + 1) % len(seq)]
-    else:
-        left = seq[pos - 1]
-        right = seq[pos + 1]
+    left = seq[pos - 1]
+    right = seq[(pos + 1) % len(seq)]
     assert isinstance(left, FoldArc) and isinstance(right, FoldArc)
     return left, right
 
@@ -287,11 +286,16 @@ def validate_pattern(p: SingularPattern) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _require_valid(p: SingularPattern) -> None:
-    report = validate_pattern(p)
-    if not report.ok:
-        raise PreconditionError(
-            "invalid pattern: " + "; ".join(v.message for v in report.violations))
+def _fresh_names(used: set[str], prefix: str):
+    """Names prefix0, prefix1, ... not in ``used``, smallest first; each name
+    handed out is added to ``used``."""
+    k = 0
+    while True:
+        cand = f"{prefix}{k}"
+        k += 1
+        if cand not in used:
+            used.add(cand)
+            yield cand
 
 
 def _require_sigma(p: SingularPattern, sigma: SignAssignment) -> None:
@@ -306,7 +310,7 @@ def vector_field_exists(p: SingularPattern, sigma: SignAssignment) -> bool:
     Componentwise: every circle must carry an even number of cusps, and an
     interval carries an even number iff its two endpoint signs differ.
     """
-    _require_valid(p)
+    validate_pattern(p).require("pattern")
     _require_sigma(p, sigma)
     for comp in p.components:
         even = comp.cusp_count % 2 == 0
@@ -320,11 +324,11 @@ def vector_field_exists(p: SingularPattern, sigma: SignAssignment) -> bool:
     return True
 
 
-def _half_sign_sum(comp: Component, sigma: SignAssignment) -> Fraction:
+def _half_sign_sum(comp: Component, sigma: SignAssignment) -> int:
     if comp.kind == CIRCLE:
-        return Fraction(0)
+        return 0
     x0, x1 = comp.endpoints
-    return Fraction(sigma.sign(x0) + sigma.sign(x1), 2)
+    return (sigma.sign(x0) + sigma.sign(x1)) // 2
 
 
 def check_condition_even(p: SingularPattern,
@@ -333,7 +337,7 @@ def check_condition_even(p: SingularPattern,
     endpoint sign sum must vanish mod 2."""
     if p.n % 2 != 0:
         raise PreconditionError(f"even-dimensional check called with n={p.n}")
-    _require_valid(p)
+    validate_pattern(p).require("pattern")
     _require_sigma(p, sigma)
     out = []
     for comp in p.components:
@@ -348,7 +352,7 @@ def check_condition_odd(p: SingularPattern,
     sum must vanish.  Circles pass vacuously."""
     if p.n % 2 != 1:
         raise PreconditionError(f"odd-dimensional check called with n={p.n}")
-    _require_valid(p)
+    validate_pattern(p).require("pattern")
     _require_sigma(p, sigma)
     by_id = p.boundary_by_id()
     out = []
@@ -381,18 +385,17 @@ def aggregate_even(p: SingularPattern, sigma: SignAssignment,
     congruence: chi_V - chi_plus versus the sum of componentwise defects."""
     if p.n % 2 != 0:
         raise PreconditionError(f"even aggregate called with n={p.n}")
-    _require_valid(p)
+    validate_pattern(p).require("pattern")
     _require_sigma(p, sigma)
     if not cusp_parity_check(p, chi_V):
         raise PreconditionError(
             "cusp-parity law fails for the given ambient Euler "
             "characteristic; the aggregate congruence presupposes it")
     lhs = (chi_V - chi_plus_sigma(p.boundary_points, sigma)) % 2
-    total = Fraction(0)
+    total = 0
     for comp in p.components:
         total += comp.cusp_count + _half_sign_sum(comp, sigma)
-    assert total.denominator == 1
-    rhs = int(total) % 2
+    rhs = total % 2
     return lhs, rhs
 
 
@@ -402,7 +405,7 @@ def aggregate_odd(p: SingularPattern,
     chi(boundary)/2 - chi_plus versus -1/2 of the total weighted sign sum."""
     if p.n % 2 != 1:
         raise PreconditionError(f"odd aggregate called with n={p.n}")
-    _require_valid(p)
+    validate_pattern(p).require("pattern")
     _require_sigma(p, sigma)
     chi_dV = euler_boundary_sum(p.boundary_points)
     lhs = Fraction(chi_dV, 2) - chi_plus_sigma(p.boundary_points, sigma)

@@ -26,6 +26,7 @@ from .pattern import (
     Cusp,
     FoldArc,
     SingularPattern,
+    _fresh_names,
 )
 
 __all__ = [
@@ -196,16 +197,6 @@ def sigma_to_json(sigma: SignAssignment) -> dict:
 # singular patterns
 
 
-def _fresh_names(used: set[str], prefix: str):
-    k = 0
-    while True:
-        cand = f"{prefix}{k}"
-        k += 1
-        if cand not in used:
-            used.add(cand)
-            yield cand
-
-
 def pattern_from_json(obj: Any) -> SingularPattern:
     obj = _expect_mapping(obj, "pattern")
     _check_keys(obj, "pattern", {"n", "components"},
@@ -323,13 +314,13 @@ def pattern_to_json(p: SingularPattern) -> dict:
 # move traces and obstructions
 
 
+# required and optional parameters of each move kind, with their types
 _MOVE_PARAM_KEYS = {
-    "create_cusp_pair": ({"arc", "i"}, {"flip"}),
-    "eliminate_matching_pair": ({"cusp1", "cusp2"},
-                                {"reconnection", "assume_removable"}),
-    "toggle_parity": ({"component"}, set()),
-    "merge_components": ({"component_a", "component_b"},
-                         {"endpoint_a", "endpoint_b"}),
+    "create_cusp_pair": ({"arc": _expect_str, "i": _expect_int},
+                         {"flip": _expect_bool}),
+    "eliminate_matching_pair": ({"cusp1": _expect_str, "cusp2": _expect_str},
+                                {"reconnection": _expect_str,
+                                 "assume_removable": _expect_bool}),
 }
 
 
@@ -341,7 +332,10 @@ def _move_from_json(obj: Any, where: str) -> Move:
         raise SchemaError(f"{where}.kind: unknown move kind {kind!r}")
     params = dict(_expect_mapping(obj["params"], where + ".params"))
     required, optional = _MOVE_PARAM_KEYS[kind]
-    _check_keys(params, where + ".params", required, optional)
+    _check_keys(params, where + ".params", set(required), set(optional))
+    expect = {**required, **optional}
+    for key, value in params.items():
+        expect[key](value, f"{where}.params.{key}")
     return Move(kind, params)
 
 

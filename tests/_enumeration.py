@@ -155,10 +155,19 @@ def random_descriptor(n: int, rng: random.Random,
                       prefix: str = "p") -> MorseDescriptor:
     """Random valid descriptor: even boundary count, consistent chi fields."""
     k = 2 * rng.randint(0, 3)
-    boundary = tuple(
-        BoundaryCriticalPoint(f"{prefix}{j}", rng.randrange(n),
-                              rng.choice((1, -1)))
-        for j in range(k))
+    points: list[BoundaryCriticalPoint] = []
+    for j in range(k):
+        if n % 2 == 0 and j % 2 == 1:
+            # for even n the boundary is closed and odd-dimensional, so its
+            # Euler characteristic is 0: pair each index with one of the
+            # other parity
+            mu = rng.choice([m for m in range(n)
+                             if (m - points[-1].mu) % 2 == 1])
+        else:
+            mu = rng.randrange(n)
+        points.append(BoundaryCriticalPoint(f"{prefix}{j}", mu,
+                                            rng.choice((1, -1))))
+    boundary = tuple(points)
     chi_boundary = sum((-1) ** p.mu for p in boundary)
     if n % 2 == 1:
         chi_M = chi_boundary // 2

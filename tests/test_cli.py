@@ -59,6 +59,35 @@ class TestExitCodes:
         assert err.startswith("error:") and "budget" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["fold", "perturbed-fold"])
+    def test_huge_dimension_is_refused_by_the_budget(self, kind, capsys):
+        assert main(["trace", kind, "--n", "1000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "budget" in err
+        assert err.count("\n") == 1
+
+    def test_deeply_nested_json_is_a_schema_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        assert main(["invariant", str(deep)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested too deeply" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["pattern", "normalize", "corpus/two_intervals_n2.json", "--sigma",
+         "corpus/sigma_pp_pp.json", "--chi-v", "0", "--assume-removable"],
+        ["trace", "fold", "--n", "2", "--svg"],
+    ])
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        argv = [str(REPO_ROOT / a) if a.startswith("corpus/") else a
+                for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cuspcobord: unrecognized")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--t", "--tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_numbers_are_refused(self, flag, value, capsys):
@@ -146,6 +175,95 @@ class TestNormalizeOutputs:
         assert code == 1
         assert payload["status"] == "obstruction"
         assert payload["obstruction"]["kind"] == "parity_mismatch"
+
+
+def _corpus(name):
+    return str(REPO_ROOT / "corpus" / name)
+
+
+def _golden_json(name):
+    with open(REPO_ROOT / "golden" / name, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestPatternJson:
+    """The parsed ``pattern ... --json`` payloads, pinned whole."""
+
+    def run(self, capsys, *argv):
+        code = main(["pattern", *argv, "--json"])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_validate_valid(self, capsys):
+        code, payload = self.run(capsys, "validate",
+                                 _corpus("interval_0cusp.json"))
+        assert code == 0
+        assert payload == {"valid": True, "violations": [],
+                           "components": 1, "cusps": 0}
+
+    def test_validate_invalid(self, capsys):
+        code, payload = self.run(capsys, "validate",
+                                 _corpus("bad_pattern.json"))
+        assert code == 1
+        assert payload == {
+            "valid": False, "components": 1, "cusps": 0,
+            "violations": [
+                {"code": "endpoint-index",
+                 "message": f"component 0: end arc 'a0' has tau=1 but "
+                            f"boundary point '{x}' (mu=0) forces 2"}
+                for x in ("x0", "x1")]}
+
+    def test_check_even(self, capsys):
+        code, payload = self.run(capsys, "check",
+                                 _corpus("interval_0cusp.json"), "--sigma",
+                                 _corpus("sigma_pm.json"), "--chi-v", "1")
+        assert code == 0
+        assert payload == {
+            "n": 2, "vector_field": True, "cusp_parity": True,
+            "aggregate_lhs": 0, "aggregate_rhs": 0,
+            "components": [{"kind": "interval", "cusps": 0,
+                            "condition": True}]}
+
+    def test_check_odd(self, capsys):
+        code, payload = self.run(capsys, "check",
+                                 _corpus("two_intervals_n3.json"), "--sigma",
+                                 _corpus("sigma_pp_pp.json"))
+        assert code == 1
+        assert payload == {
+            "n": 3, "vector_field": False,
+            "aggregate_lhs": "0", "aggregate_rhs": "0",
+            "components": [{"kind": "interval", "cusps": 0,
+                            "condition": False}] * 2}
+
+    def test_normalize_with_out(self, tmp_path, capsys):
+        out = str(tmp_path / "trace.json")
+        code, payload = self.run(capsys, "normalize",
+                                 _corpus("two_intervals_n3.json"), "--sigma",
+                                 _corpus("sigma_pp_pp.json"), "--out", out)
+        assert code == 0
+        assert payload == {"status": "normalized", "moves": 4,
+                           "components": 2, "cusps": 4, "out": out}
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh) == _golden_json("trace_odd.json")
+
+    def test_normalize_without_out(self, capsys):
+        code, payload = self.run(capsys, "normalize",
+                                 _corpus("two_intervals_n2.json"), "--sigma",
+                                 _corpus("sigma_pp_pp.json"), "--chi-v", "0")
+        assert code == 0
+        assert payload == {"status": "normalized", "moves": 7,
+                           "components": 3, "cusps": 2,
+                           "trace": _golden_json("trace_even.json")}
+
+    def test_normalize_obstruction(self, capsys):
+        code, payload = self.run(capsys, "normalize",
+                                 _corpus("interval_0cusp.json"), "--sigma",
+                                 _corpus("sigma_pp.json"), "--chi-v", "1")
+        assert code == 1
+        assert payload == {
+            "status": "obstruction",
+            "obstruction": {"kind": "parity_mismatch",
+                            "witness": {"chi_V": 1, "chi_plus": 2,
+                                        "lhs_mod2": 1, "rhs_mod2": 0}}}
 
 
 class TestArtifacts:

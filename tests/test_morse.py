@@ -72,6 +72,25 @@ class TestValidation:
                             boundary=(bp("x0", 0), bp("x1", 2)))
         assert "odd-dimension-chi" in validate(d).codes()
 
+    def test_even_dimension_has_boundary_euler_characteristic_zero(self):
+        # two boundary minima: the count is consistent but not realizable,
+        # since the boundary of an even-dimensional manifold is closed and
+        # odd-dimensional
+        d = make(n=2, boundary=[bp("x0", 0), bp("x1", 0)])
+        assert d.chi_boundary == 2
+        assert validate(d).codes() == ("even-dimension-chi-boundary",)
+        assert validate(make(n=4, boundary=[bp("x0", 1), bp("x1", 2)])).ok
+        assert validate(make(n=3, chi_M=1,
+                             boundary=[bp("x0", 0), bp("x1", 2)])).ok
+
+    def test_require_names_every_violation(self):
+        d = make(n=2, boundary=[bp("x0", 0), bp("x0", 0)])
+        with pytest.raises(PreconditionError,
+                           match=r"^invalid descriptor: id 'x0' used twice; "
+                                 r"n=2 is even"):
+            validate(d).require("descriptor")
+        validate(make()).require("descriptor")
+
     def test_dimension_below_two_rejected_at_construction(self):
         with pytest.raises(ValueError):
             MorseDescriptor(n=1, oriented=True, chi_M=0, chi_boundary=0)

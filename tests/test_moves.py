@@ -249,14 +249,15 @@ class TestApplyAndReplay:
         with pytest.raises(PreconditionError):
             apply_move(p, Move("teleport", {}))
 
-    def test_composite_moves_replay(self):
+    def test_composite_moves_are_not_move_kinds(self):
+        # traces record only the atomic moves the composites are built from
         p = build_pattern(2, (("interval", (1,), (), 0, 0),))
-        q = apply_move(p, Move("toggle_parity", {"component": 0}))
-        assert q == toggle_parity(p, 0)
+        with pytest.raises(PreconditionError):
+            apply_move(p, Move("toggle_parity", {"component": 0}))
         r = build_pattern(3, (("circle", (1,), ()), ("circle", (1,), ())))
-        s = apply_move(r, Move("merge_components",
+        with pytest.raises(PreconditionError):
+            apply_move(r, Move("merge_components",
                                {"component_a": 0, "component_b": 1}))
-        assert s == merge_components(r, 0, 1)
 
     def test_trace_replays_to_final(self):
         p = build_pattern(2, (("circle", (1,), ()),))

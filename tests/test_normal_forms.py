@@ -17,6 +17,7 @@ from cuspcobord.normal_forms import (
     PlanarCurve,
     SwallowTail,
     check_perturbation_condition,
+    default_grid,
     detect_singular_set,
     evaluate,
     jacobian,
@@ -182,7 +183,7 @@ class TestGridSpec:
     def test_parse_round_trip(self):
         g = GridSpec.parse("-1:1:3,0:2:2")
         assert g.axes == ((-1.0, 1.0, 3), (0.0, 2.0, 2))
-        assert len(list(g.points())) == 6
+        assert g.size == 6
 
     def test_parse_rejects_malformed_axes(self):
         with pytest.raises(ValueError):
@@ -195,7 +196,46 @@ class TestGridSpec:
     def test_uniform(self):
         g = GridSpec.uniform(-1.0, 1.0, 5, 3)
         assert len(g.axes) == 3
-        assert len(list(g.points())) == 125
+        assert g.size == 125
+
+
+def former_default_axes(m):
+    """The default seed axes of every model kind, written out longhand as
+    the reference for ``default_grid``."""
+    k = m.kind
+    if isinstance(k, PerturbedFold):
+        lo, hi = k.alpha.support()
+        return ((lo - 1.0, hi + 1.0, 41),) + ((-0.75, 0.75, 5),) * (m.n - 1)
+    if isinstance(k, SwallowTail):
+        axes = [(-1.5, 1.5, 31), (-2.0, 2.0, 21)]
+    elif isinstance(k, Cusp):
+        axes = [(-1.5, 0.5, 21), (-1.2, 1.2, 13)]
+    else:
+        axes = [(-1.0, 1.0, 11)]
+    while len(axes) < m.n:
+        axes.append((-0.5, 0.5, 3))
+    return tuple(axes[:m.n])
+
+
+class TestDefaultGrid:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_same_axes_as_before_for_every_kind(self, n):
+        for kind in (Fold(0), Cusp(0), SwallowTail(1.0),
+                     PerturbedFold(0, bump(0.4, center=0.5), bump(1.0))):
+            m = LocalMap(n, kind)
+            assert default_grid(m).axes == former_default_axes(m)
+
+    def test_refused_once_the_seeds_pass_the_budget(self):
+        # 11 * 3**10 seeds fit in the budget, 11 * 3**11 do not
+        assert default_grid(LocalMap(11, Fold(0))).size == 11 * 3 ** 10
+        with pytest.raises(PreconditionError, match="budget"):
+            default_grid(LocalMap(12, Fold(0)))
+
+    @pytest.mark.parametrize("kind", [Fold(0),
+                                      PerturbedFold(0, bump(), bump(1.0))])
+    def test_huge_dimension_is_refused_without_walking_it(self, kind):
+        with pytest.raises(PreconditionError, match="budget"):
+            default_grid(LocalMap(10 ** 9, kind))
 
 
 FOLD_GRID = GridSpec(((-1.0, 1.0, 11), (-1.0, 1.0, 7), (-1.0, 1.0, 7)))
@@ -303,10 +343,6 @@ class TestPerturbation:
     def test_condition_threshold(self):
         assert check_perturbation_condition(bump(0.4), bump(1.0))
         assert not check_perturbation_condition(bump(0.6), bump(1.0))
-
-    def test_optional_grid_cannot_relax_the_answer(self):
-        grid = GridSpec(((-1.0, 1.0, 9), (0.0, 1.0, 9)))
-        assert check_perturbation_condition(bump(0.4), bump(1.0), grid=grid)
 
     def test_report_verifies_axis_and_image(self):
         report = perturbed_fold_image(0, 2, bump(0.4), bump(1.0))

@@ -1,5 +1,6 @@
 """JSON wire formats: round trips, strict key checking, fraction values."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from cuspcobord.serialize import (
     trace_to_json,
 )
 
+from _corpus import REPO_ROOT
 from _enumeration import build_pattern, random_descriptor, single_shapes
 
 
@@ -150,6 +152,35 @@ class TestTrace:
         obj = trace_to_json(MoveTrace(p, (), p))
         obj["moves"] = [{"kind": "create_cusp_pair", "params": {"arc": "a0"}}]
         with pytest.raises(SchemaError):
+            trace_from_json(obj)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("toggle_parity", {"component": 0}),
+        ("merge_components", {"component_a": 0, "component_b": 1}),
+    ])
+    def test_composite_kinds_are_unknown(self, kind, params):
+        p = build_pattern(2, (("circle", (1,), ()),))
+        obj = trace_to_json(MoveTrace(p, (), p))
+        obj["moves"] = [{"kind": kind, "params": params}]
+        with pytest.raises(SchemaError, match="unknown move kind"):
+            trace_from_json(obj)
+
+    @pytest.mark.parametrize("move, key, value", [
+        (0, "i", "0"),          # unchecked, fails at replay with a TypeError
+        (0, "flip", "no"),      # unchecked, reads as true and replays wrongly
+        (3, "assume_removable", 0),
+        (3, "cusp1", 3),
+        (0, "arc", None),
+        (3, "reconnection", True),
+    ])
+    def test_parameter_types_are_checked(self, move, key, value):
+        with open(REPO_ROOT / "golden" / "trace_odd.json",
+                  encoding="utf-8") as fh:
+            obj = json.load(fh)
+        assert key in obj["moves"][move]["params"]
+        obj["moves"][move]["params"][key] = value
+        with pytest.raises(SchemaError,
+                           match=rf"trace\.moves\[{move}\]\.params\.{key}"):
             trace_from_json(obj)
 
 

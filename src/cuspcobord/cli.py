@@ -8,7 +8,9 @@ artifacts.
 Output contract: line-oriented ``key=value`` reports on stdout (or a JSON
 object with sorted keys under ``--json``); exit 0 for success/affirmative,
 1 for a negative verdict or obstruction, 2 for schema or precondition
-errors.  Identical inputs produce byte-identical outputs.
+errors, 3 for an internal error (a fault of the program, not of the input;
+one ``error: internal: ...`` line on stderr).  Identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -72,11 +74,7 @@ def _write_json_file(path: str, obj: Any) -> None:
 
 def _load_valid_descriptor(path: str):
     d = serialize.descriptor_from_json(_read_json(path))
-    report = validate_descriptor(d)
-    if not report.ok:
-        raise PreconditionError(
-            f"{path}: descriptor invalid: "
-            + "; ".join(f"{v.code}: {v.message}" for v in report.violations))
+    validate_descriptor(d).require(f"descriptor {path}")
     return d
 
 
@@ -210,7 +208,7 @@ def _cmd_pattern(args) -> int:
 
     replayed = mv.replay(result)
     if replayed != result.final:
-        raise AssertionError("internal: trace replay mismatch")
+        raise AssertionError("trace replay mismatch")
     trace_json = serialize.trace_to_json(result)
     final = result.final
     lines = [("status", "normalized"), ("moves", len(result.moves)),
@@ -448,6 +446,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (SchemaError, PreconditionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def entry() -> None:

@@ -96,10 +96,14 @@ class CobordismClass:
         return self + (-other)
 
 
+def _chi_plus(boundary: tuple[BoundaryCriticalPoint, ...]) -> int:
+    return sum((-1) ** p.mu for p in boundary if p.sigma == 1)
+
+
 def chi_plus(d: MorseDescriptor) -> int:
     """Alternating count of inward-increasing boundary critical points."""
     validate(d).require("descriptor")
-    return sum((-1) ** p.mu for p in d.boundary if p.sigma == 1)
+    return _chi_plus(d.boundary)
 
 
 def chi_plus_sigma(boundary: tuple[BoundaryCriticalPoint, ...],
@@ -139,7 +143,7 @@ def signed_defect(chi_P: int,
 def cobordism_invariant(d: MorseDescriptor) -> CobordismClass:
     """The complete cobordism invariant chi_M - chi_plus of a descriptor."""
     validate(d).require("descriptor")
-    return CobordismClass.of(d.n, d.chi_M - chi_plus(d))
+    return CobordismClass.of(d.n, d.chi_M - _chi_plus(d.boundary))
 
 
 def morse_van_schaack(n: int, chi_M: int,

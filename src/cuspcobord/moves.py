@@ -17,6 +17,12 @@ boundary endpoints two-and-two.
 Composite moves (parity toggle, component merge) and the two normalization
 drivers are built from the atomic moves; a trace records only atomic moves,
 so it replays move by move.
+
+Each public move, driver and ``replay`` validates its (initial) pattern once
+and raises ``PreconditionError`` for an invalid one.  Both moves are local,
+so a valid pattern stays valid when a move's own preconditions hold; inside,
+each move checks only what it touches: the transitions at created cusps,
+equal indices on fused arcs and the re-paired interval ends.
 """
 
 from __future__ import annotations
@@ -33,12 +39,17 @@ from .pattern import (
     Cusp,
     FoldArc,
     SingularPattern,
-    check_condition_even,
-    check_condition_odd,
     cusp_parity_check,
     validate_pattern,
 )
-from .pattern import _abutting_arcs, _fresh_names, _require_sigma
+from .pattern import (
+    _abutting_arcs,
+    _even_ok,
+    _fresh_names,
+    _odd_ok,
+    _require_sigma,
+    _transition_ok,
+)
 
 __all__ = [
     "STAY",
@@ -87,36 +98,19 @@ class Obstruction:
     witness: dict
 
 
-def _check(p: SingularPattern, context: str) -> None:
-    report = validate_pattern(p)
-    if not report.ok:
-        raise AssertionError(
-            f"{context} produced an invalid pattern: "
-            + "; ".join(v.message for v in report.violations))
-
-
 def _element_ids(p: SingularPattern) -> set[str]:
-    out: set[str] = set()
-    for comp in p.components:
-        for e in comp.sequence:
-            out.add(e.id)
-    return out
+    return {e.id for comp in p.components for e in comp.sequence}
 
 
-def _locate_arc(p: SingularPattern, arc_id: str) -> tuple[int, int]:
+def _locate(p: SingularPattern, elem_id: str,
+            kind: type) -> tuple[int, int]:
+    """(component, word position) of the arc or cusp with this id."""
     for ci, comp in enumerate(p.components):
         for pos, e in enumerate(comp.sequence):
-            if isinstance(e, FoldArc) and e.id == arc_id:
+            if isinstance(e, kind) and e.id == elem_id:
                 return ci, pos
-    raise PreconditionError(f"no fold arc with id {arc_id!r}")
-
-
-def _locate_cusp(p: SingularPattern, cusp_id: str) -> tuple[int, int]:
-    for ci, comp in enumerate(p.components):
-        for pos, e in enumerate(comp.sequence):
-            if isinstance(e, Cusp) and e.id == cusp_id:
-                return ci, pos
-    raise PreconditionError(f"no cusp with id {cusp_id!r}")
+    what = "fold arc" if kind is FoldArc else "cusp"
+    raise PreconditionError(f"no {what} with id {elem_id!r}")
 
 
 def _create(p: SingularPattern, arc_id: str, i: int,
@@ -124,10 +118,9 @@ def _create(p: SingularPattern, arc_id: str, i: int,
     n = p.n
     if not 0 <= i <= n - 2:
         raise PreconditionError(f"cusp index i={i} outside [0, {n - 2}]")
-    ci, pos = _locate_arc(p, arc_id)
+    ci, pos = _locate(p, arc_id, FoldArc)
     comp = p.components[ci]
     arc = comp.sequence[pos]
-    assert isinstance(arc, FoldArc)
     want = max(i, n - 1 - i)
     if arc.tau != want:
         raise PreconditionError(
@@ -142,27 +135,29 @@ def _create(p: SingularPattern, arc_id: str, i: int,
     c2 = Cusp(next(cusp_names), i_second)
     inner = FoldArc(next(arc_names), inner_tau)
 
-    right_arc_id: Optional[str] = None
     if comp.kind == CIRCLE and len(comp.sequence) == 1:
         # the remainder of a bare circle is a single arc, so no split
+        right = arc
         seq = (arc, c1, inner, c2)
     else:
         right = FoldArc(next(arc_names), arc.tau)
-        right_arc_id = right.id
         seq = (comp.sequence[:pos]
                + (arc, c1, inner, c2, right)
                + comp.sequence[pos + 1:])
+    # the rest of the word is untouched, so these are the only new laws
+    assert (_transition_ok(c1, arc, inner, n)
+            and _transition_ok(c2, inner, right, n)), \
+        "internal: created cusps break the transition rule"
     new_comp = replace(comp, sequence=seq)
     comps = p.components[:ci] + (new_comp,) + p.components[ci + 1:]
     out = replace(p, components=comps)
-    _check(out, "create_cusp_pair")
     info = {
         "component": ci,
         "cusp1": c1.id,
         "cusp2": c2.id,
         "inner_arc": inner.id,
         "left_arc": arc.id,
-        "right_arc": right_arc_id,
+        "right_arc": None if right is arc else right.id,
     }
     return out, info
 
@@ -175,6 +170,7 @@ def create_cusp_pair(p: SingularPattern, arc_id: str, i: int,
     word, which matters when a later elimination must route specific arc
     ends together.
     """
+    validate_pattern(p).require("pattern")
     return _create(p, arc_id, i, flip)[0]
 
 
@@ -285,8 +281,8 @@ def _glue(paths: list[_Path],
 def _fusion_plan(p: SingularPattern, c1_id: str, c2_id: str,
                  reconnection: str):
     """Arc pairs and end-label pairs an elimination would fuse."""
-    ci1, pos1 = _locate_cusp(p, c1_id)
-    ci2, pos2 = _locate_cusp(p, c2_id)
+    ci1, pos1 = _locate(p, c1_id, Cusp)
+    ci2, pos2 = _locate(p, c2_id, Cusp)
     l1, r1 = _abutting_arcs(p.components[ci1], pos1)
     l2, r2 = _abutting_arcs(p.components[ci2], pos2)
     if reconnection == STAY:
@@ -313,20 +309,13 @@ def legal_reconnections(p: SingularPattern, c1_id: str,
     return tuple(out)
 
 
-def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
-                            reconnection: str = STAY,
-                            assume_removable: bool = False) -> SingularPattern:
-    """Eliminate a matching pair of cusps (normal indices summing to n-2).
-
-    In ambient dimension 2 removability depends on data the pattern does
-    not carry and must be vouched for via ``assume_removable``; from
-    dimension 3 on it is automatic.
-    """
+def _eliminate(p: SingularPattern, c1_id: str, c2_id: str,
+               reconnection: str, assume_removable: bool) -> SingularPattern:
     if c1_id == c2_id:
         raise PreconditionError("need two distinct cusps")
     n = p.n
-    ci1, pos1 = _locate_cusp(p, c1_id)
-    ci2, pos2 = _locate_cusp(p, c2_id)
+    ci1, pos1 = _locate(p, c1_id, Cusp)
+    ci2, pos2 = _locate(p, c2_id, Cusp)
     cusp1 = p.components[ci1].sequence[pos1]
     cusp2 = p.components[ci2].sequence[pos2]
     if cusp1.normal_index + cusp2.normal_index != n - 2:
@@ -353,9 +342,20 @@ def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
     keep = [c for k, c in enumerate(p.components) if k not in affected]
     at = affected[0]
     comps = tuple(keep[:at]) + results + tuple(keep[at:])
-    out = replace(p, components=comps)
-    _check(out, "eliminate_matching_pair")
-    return out
+    return replace(p, components=comps)
+
+
+def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
+                            reconnection: str = STAY,
+                            assume_removable: bool = False) -> SingularPattern:
+    """Eliminate a matching pair of cusps (normal indices summing to n-2).
+
+    In ambient dimension 2 removability depends on data the pattern does
+    not carry and must be vouched for via ``assume_removable``; from
+    dimension 3 on it is automatic.
+    """
+    validate_pattern(p).require("pattern")
+    return _eliminate(p, c1_id, c2_id, reconnection, assume_removable)
 
 
 # The drivers below apply every atomic move through these two helpers, which
@@ -377,8 +377,7 @@ def _do_eliminate(p: SingularPattern, moves: list[Move], c1_id: str,
                       {"cusp1": c1_id, "cusp2": c2_id,
                        "reconnection": reconnection,
                        "assume_removable": assume_removable}))
-    return eliminate_matching_pair(p, c1_id, c2_id, reconnection,
-                                   assume_removable)
+    return _eliminate(p, c1_id, c2_id, reconnection, assume_removable)
 
 
 def _ladder_to(p: SingularPattern, comp_idx: int, target_tau: int,
@@ -429,6 +428,7 @@ def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
     The interval gains one cusp net and a one-cusp circle appears next to
     it; total cusp count changes by +2.
     """
+    validate_pattern(p).require("pattern")
     return _toggle_parity(p, comp_idx, [])
 
 
@@ -440,11 +440,30 @@ def _endpoint_home(p: SingularPattern, point_id: str) -> int:
         f"boundary point {point_id!r} is not an interval endpoint")
 
 
-def _merge_once(p: SingularPattern, idx_a: int, idx_b: int,
-                flip: bool) -> tuple[SingularPattern, list[Move]]:
+def _merge(p: SingularPattern, idx_a: int, idx_b: int, moves: list[Move],
+           endpoint_a: Optional[str] = None,
+           endpoint_b: Optional[str] = None) -> SingularPattern:
     n = p.n
+    if n % 2 != 1 or n < 3:
+        raise PreconditionError(f"component merge needs odd n >= 3, got {n}")
+    if idx_a == idx_b:
+        raise PreconditionError("need two distinct components")
+    ends = []  # which end of its interval each designated endpoint is
+    for idx, point_id in ((idx_a, endpoint_a), (idx_b, endpoint_b)):
+        if not 0 <= idx < len(p.components):
+            raise PreconditionError(f"no component {idx}")
+        points = p.components[idx].endpoints or ()
+        if point_id is not None and point_id not in points:
+            raise PreconditionError(
+                f"{point_id!r} is not an endpoint of component {idx}")
+        ends.append(0 if point_id is None else points.index(point_id))
+    # The elimination cuts A and B at one created cusp each.  Unflipped, the
+    # only legal pairing is SPLIT, which joins opposite ends of A and B;
+    # flipping B's pair makes it STAY, which joins equal ends.  With a circle
+    # any outcome is the merge.
+    flip = (p.components[idx_a].kind == p.components[idx_b].kind == INTERVAL
+            and ends[0] == ends[1])
     t = (n - 1) // 2
-    moves: list[Move] = []
     cur = _ladder_to(p, idx_a, t, moves)
     cur = _ladder_to(cur, idx_b, t, moves)
 
@@ -457,41 +476,7 @@ def _merge_once(p: SingularPattern, idx_a: int, idx_b: int,
     # the t-cusp from b
     ca = info_a["cusp2"]
     cb = info_b["cusp2"] if flip else info_b["cusp1"]
-    legal = legal_reconnections(cur, ca, cb)
-    assert len(legal) == 1, "odd n leaves no reconnection freedom"
-    return _do_eliminate(cur, moves, ca, cb, legal[0]), moves
-
-
-def _merge(p: SingularPattern, idx_a: int, idx_b: int,
-           endpoint_a: Optional[str] = None,
-           endpoint_b: Optional[str] = None) -> tuple[SingularPattern, list[Move]]:
-    n = p.n
-    if n % 2 != 1 or n < 3:
-        raise PreconditionError(f"component merge needs odd n >= 3, got {n}")
-    if idx_a == idx_b:
-        raise PreconditionError("need two distinct components")
-    for idx in (idx_a, idx_b):
-        if not 0 <= idx < len(p.components):
-            raise PreconditionError(f"no component {idx}")
-    comp_a, comp_b = p.components[idx_a], p.components[idx_b]
-    if comp_a.kind == INTERVAL and endpoint_a is None:
-        endpoint_a = comp_a.endpoints[0]
-    if comp_b.kind == INTERVAL and endpoint_b is None:
-        endpoint_b = comp_b.endpoints[0]
-
-    both_intervals = (comp_a.kind == INTERVAL and comp_b.kind == INTERVAL)
-    for flip in (False, True):
-        cur, moves = _merge_once(p, idx_a, idx_b, flip)
-        if not both_intervals:
-            # the only ambiguity is which boundary ends travel together,
-            # so with at most one interval any outcome is the merge
-            assert len(cur.components) == len(p.components) - 1
-            return cur, moves
-        if _endpoint_home(cur, endpoint_a) == _endpoint_home(cur, endpoint_b):
-            return cur, moves
-    raise AssertionError(
-        "internal: neither creation orientation routed the designated "
-        "endpoints together")
+    return _do_eliminate(cur, moves, ca, cb, STAY if flip else SPLIT)
 
 
 def merge_components(p: SingularPattern, idx_a: int, idx_b: int,
@@ -504,7 +489,8 @@ def merge_components(p: SingularPattern, idx_a: int, idx_b: int,
     first endpoint of each, unless named explicitly) finish on a common
     interval.  Net cusp change is +2 plus whatever index laddering needed.
     """
-    return _merge(p, idx_a, idx_b, endpoint_a, endpoint_b)[0]
+    validate_pattern(p).require("pattern")
+    return _merge(p, idx_a, idx_b, [], endpoint_a, endpoint_b)
 
 
 def _first_exceptional_cusp(comp: Component, n: int) -> Cusp:
@@ -548,10 +534,9 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
     cur = p
     moves: list[Move] = []
     while True:
-        flags = check_condition_even(cur, sigma)
-        bad = next((k for k, (comp, ok) in
-                    enumerate(zip(cur.components, flags))
-                    if comp.kind == INTERVAL and not ok), None)
+        bad = next((k for k, comp in enumerate(cur.components)
+                    if comp.kind == INTERVAL and not _even_ok(comp, sigma)),
+                   None)
         if bad is None:
             break
         cur = _toggle_parity(cur, bad, moves)
@@ -565,8 +550,8 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
         i1, i2 = odd[0], odd[1]
         c1 = _first_exceptional_cusp(cur.components[i1], n)
         c2 = _first_exceptional_cusp(cur.components[i2], n)
-        recon = legal_reconnections(cur, c1.id, c2.id)[0]
-        cur = _do_eliminate(cur, moves, c1.id, c2.id, recon)
+        # exceptional cusps abut only arcs of index n/2, so STAY is legal
+        cur = _do_eliminate(cur, moves, c1.id, c2.id, STAY)
         if n == 2:
             # dimension 2 admits a stronger rewrite: the fused circle can
             # be made cusp-free outright, two cusps at a time
@@ -576,7 +561,7 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
                 ca, cb = cusps[0], cusps[1]
                 cur = _do_eliminate(cur, moves, ca.id, cb.id, STAY)
 
-    assert all(check_condition_even(cur, sigma))
+    assert all(_even_ok(comp, sigma) for comp in cur.components)
     return MoveTrace(p, tuple(moves), cur)
 
 
@@ -613,30 +598,34 @@ def normalize_odd(p: SingularPattern,
         iy = _endpoint_home(cur, y)
         if ix == iy:
             continue
-        cur, more = _merge(cur, ix, iy, x, y)
-        moves += more
+        cur = _merge(cur, ix, iy, moves, x, y)
 
-    assert all(check_condition_odd(cur, sigma))
+    assert all(_odd_ok(comp, by_id, sigma) for comp in cur.components)
     return MoveTrace(p, tuple(moves), cur)
+
+
+def _apply(p: SingularPattern, move: Move) -> SingularPattern:
+    k, params = move.kind, move.params
+    if k == "create_cusp_pair":
+        return _create(p, params["arc"], params["i"],
+                       params.get("flip", False))[0]
+    if k == "eliminate_matching_pair":
+        return _eliminate(p, params["cusp1"], params["cusp2"],
+                          params.get("reconnection", STAY),
+                          params.get("assume_removable", False))
+    raise PreconditionError(f"unknown move kind {k!r}")
 
 
 def apply_move(p: SingularPattern, move: Move) -> SingularPattern:
     """Replay a single recorded move."""
-    k, params = move.kind, move.params
-    if k == "create_cusp_pair":
-        return create_cusp_pair(p, params["arc"], params["i"],
-                                params.get("flip", False))
-    if k == "eliminate_matching_pair":
-        return eliminate_matching_pair(
-            p, params["cusp1"], params["cusp2"],
-            params.get("reconnection", STAY),
-            params.get("assume_removable", False))
-    raise PreconditionError(f"unknown move kind {k!r}")
+    validate_pattern(p).require("pattern")
+    return _apply(p, move)
 
 
 def replay(trace: MoveTrace) -> SingularPattern:
     """Re-run a trace from its initial pattern; callers compare to final."""
+    validate_pattern(trace.initial).require("initial pattern")
     cur = trace.initial
     for move in trace.moves:
-        cur = apply_move(cur, move)
+        cur = _apply(cur, move)
     return cur

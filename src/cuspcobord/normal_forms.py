@@ -55,6 +55,9 @@ HESSIAN_RANK_RATIO = 1e-5
 NEWTON_MAXITER = 80
 NEWTON_BLOCK = 2048  # seeds per batch, so memory does not grow with the grid
 MAX_SEEDS = 10 ** 6  # seed budget of one detection
+# Largest swallowtail |t|.  The rank test is relative: from |t| near
+# 2 / HESSIAN_RANK_RATIO on, every fold sample reads as a cusp candidate.
+MAX_ABS_T = 1e4
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +241,8 @@ class LocalMap:
             if k.t == 0:
                 raise ValueError(
                     "t = 0 is not generic; only t < 0 and t > 0 are modeled")
+            if not abs(k.t) <= MAX_ABS_T:
+                raise ValueError(f"|t| = {abs(k.t):g} exceeds {MAX_ABS_T:g}")
             if not 0 <= k.index <= max(n - 2, 0):
                 raise ValueError(
                     f"quadratic index {k.index} outside [0, {max(n - 2, 0)}]")

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, formats, golden-file determinism."""
 
 import json
+import warnings
 
 import pytest
 
+from cuspcobord import cli
 from cuspcobord.cli import main
 
 from _corpus import REPO_ROOT, load_manifest, run_entry
@@ -46,7 +48,9 @@ class TestExitCodes:
             "boundary": [{"id": "x0", "mu": 0, "sigma": 1},
                          {"id": "x1", "mu": 1, "sigma": 1}]}))
         assert main(["invariant", str(f)]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid descriptor {f}: chi_boundary")
+        assert err.count("\n") == 1
 
     def test_degenerate_family_parameter(self, capsys):
         assert main(["trace", "swallowtail", "--t", "0"]) == 2
@@ -95,6 +99,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "finite" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["1e300", "-1e300", "10001"])
+    def test_swallowtail_parameter_out_of_range(self, value, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["trace", "swallowtail", f"--t={value}", "--csv"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: |t| = ")
+        assert captured.err.count("\n") == 1
+        assert not caught
+
+    @pytest.mark.parametrize("value", ["1e4", "-1e4"])
+    def test_swallowtail_parameter_at_the_bound(self, value, capsys):
+        assert main(["trace", "swallowtail", f"--t={value}", "--csv"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_internal_error_exits_3_with_one_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.mv, "replay", lambda trace: trace.initial)
+        code = main(["pattern", "normalize",
+                     str(REPO_ROOT / "corpus" / "two_intervals_n3.json"),
+                     "--sigma", str(REPO_ROOT / "corpus" / "sigma_pp_pp.json")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: internal: AssertionError: trace replay mismatch\n")
 
     def test_check_requires_sigma(self, capsys):
         pat = str(REPO_ROOT / "corpus" / "interval_0cusp.json")

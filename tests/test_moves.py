@@ -1,10 +1,14 @@
 """Move engine: creation, elimination, composite drivers, normalization."""
 
+import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from cuspcobord import PreconditionError, SignAssignment
+from cuspcobord import moves as mv
+from cuspcobord import pattern as pat
 from cuspcobord.invariants import chi_plus_sigma
 from cuspcobord.moves import (
     SPLIT,
@@ -25,11 +29,17 @@ from cuspcobord.moves import (
 from cuspcobord.pattern import (
     CIRCLE,
     INTERVAL,
+    FoldArc,
+    aggregate_even,
+    aggregate_odd,
     check_condition_even,
     check_condition_odd,
     validate_pattern,
+    vector_field_exists,
 )
+from cuspcobord.serialize import trace_from_json
 
+from _corpus import REPO_ROOT
 from _enumeration import build_pattern, patterns_up_to, sign_assignments
 from _walk import walk
 
@@ -387,3 +397,152 @@ class TestRandomWalks:
         for p in starts:
             for _ in range(40):
                 walk(p, rng, steps=5)
+
+
+def _duplicate_first_arc_id(p):
+    """p with the first arc of its last component renamed to a0, an id the
+    first component already uses: invalid only by duplicate-element-id."""
+    last = p.components[-1]
+    seq = (FoldArc("a0", last.sequence[0].tau),) + last.sequence[1:]
+    comps = p.components[:-1] + (replace(last, sequence=seq),)
+    return replace(p, components=comps)
+
+
+# n = 3: an interval carrying a matching cusp pair, and a bare interval
+BAD_ODD = _duplicate_first_arc_id(build_pattern(
+    3, (("interval", (2, 1, 2), (0, 1), 0, 0), ("interval", (1,), (), 1, 1))))
+# n = 4: a bare interval and a bare circle
+BAD_EVEN = _duplicate_first_arc_id(build_pattern(
+    4, (("interval", (3,), (), 0, 0), ("circle", (3,), ()))))
+SIGMA_ODD = SignAssignment({"x0": 1, "x1": 1, "x2": 1, "x3": -1})
+SIGMA_EVEN = SignAssignment({"x0": 1, "x1": 1})
+CREATE_A1 = Move("create_cusp_pair", {"arc": "a1", "i": 1, "flip": False})
+
+PUBLIC_ENTRY_POINTS = {
+    "create_cusp_pair": lambda: create_cusp_pair(BAD_ODD, "a1", 1),
+    "eliminate_matching_pair":
+        lambda: eliminate_matching_pair(BAD_ODD, "c0", "c1", SPLIT),
+    "toggle_parity": lambda: toggle_parity(BAD_EVEN, 0),
+    "merge_components": lambda: merge_components(BAD_ODD, 0, 1),
+    "apply_move": lambda: apply_move(BAD_ODD, CREATE_A1),
+    "replay": lambda: replay(MoveTrace(BAD_ODD, (CREATE_A1,), BAD_ODD)),
+    "normalize_odd": lambda: normalize_odd(BAD_ODD, SIGMA_ODD),
+    "normalize_even": lambda: normalize_even(BAD_EVEN, SIGMA_EVEN, 0),
+    "vector_field_exists": lambda: vector_field_exists(BAD_ODD, SIGMA_ODD),
+    "check_condition_even":
+        lambda: check_condition_even(BAD_EVEN, SIGMA_EVEN),
+    "check_condition_odd": lambda: check_condition_odd(BAD_ODD, SIGMA_ODD),
+    "aggregate_even": lambda: aggregate_even(BAD_EVEN, SIGMA_EVEN, 0),
+    "aggregate_odd": lambda: aggregate_odd(BAD_ODD, SIGMA_ODD),
+}
+
+
+class TestValidationContract:
+    """Public calls validate their pattern once; moves trust it."""
+
+    @pytest.mark.parametrize("name", sorted(PUBLIC_ENTRY_POINTS))
+    def test_public_entry_points_refuse_invalid_patterns(self, name):
+        assert validate_pattern(BAD_ODD).codes() == ("duplicate-element-id",)
+        assert validate_pattern(BAD_EVEN).codes() == ("duplicate-element-id",)
+        with pytest.raises(PreconditionError,
+                           match=r"invalid .*pattern: id 'a0' used twice"):
+            PUBLIC_ENTRY_POINTS[name]()
+
+    @staticmethod
+    def _replay_checking_each_move(trace):
+        cur = trace.initial
+        for move in trace.moves:
+            cur = apply_move(cur, move)
+            assert validate_pattern(cur).ok, move
+        assert cur == trace.final
+
+    @pytest.mark.parametrize("name", ["trace_odd.json", "trace_even.json"])
+    def test_golden_traces_stay_valid_move_by_move(self, name):
+        with open(REPO_ROOT / "golden" / name, encoding="utf-8") as fh:
+            trace = trace_from_json(json.load(fh))
+        assert trace.moves
+        self._replay_checking_each_move(trace)
+
+    def test_sampled_normalizations_stay_valid_move_by_move(self):
+        # about 2,000 configurations from the space the acceptance gate's
+        # criterion 6 enumerates (n = 2, 3, 4; up to 3 cusps and 3
+        # components), each normalized and then replayed with a full
+        # validation after every move
+        rng = random.Random(6)
+        sampled = moves = traces = 0
+        for n, triples, share in ((2, 200, 0.004), (3, 200, 0.004),
+                                  (4, 120, 0.005)):
+            for p in patterns_up_to(n, 3, 3, random.Random(20260815 + n),
+                                    triple_samples=triples):
+                for sigma in sign_assignments(p):
+                    if rng.random() >= share:
+                        continue
+                    sampled += 1
+                    chi_v = (p.total_cusps - len(p.boundary_points) // 2) % 2
+                    out = (normalize_even(p, sigma, chi_v) if n % 2 == 0
+                           else normalize_odd(p, sigma))
+                    if isinstance(out, MoveTrace):
+                        self._replay_checking_each_move(out)
+                        moves += len(out.moves)
+                        traces += 1
+        assert 1500 < sampled < 2500, sampled
+        assert traces > 500 and moves > 2000, (traces, moves)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("end_a", [0, 1])
+    @pytest.mark.parametrize("end_b", [0, 1])
+    def test_merge_orientation_is_chosen_up_front(self, n, end_a, end_b):
+        # a top-index interval (laddered down first) and one already at the
+        # merge index (n - 1) / 2
+        p = build_pattern(n, (("interval", (n - 1,), (), 0, n - 1),
+                              ("interval", ((n - 1) // 2,), (),
+                               (n - 1) // 2, (n - 1) // 2)))
+        x = p.components[0].endpoints[end_a]
+        y = p.components[1].endpoints[end_b]
+        recorded = []
+        q = mv._merge(p, 0, 1, recorded, x, y)
+        assert validate_pattern(q).ok
+        homes = {e: k for k, comp in enumerate(q.components)
+                 for e in comp.endpoints or ()}
+        assert homes[x] == homes[y]
+        creates = [m for m in recorded if m.kind == "create_cusp_pair"]
+        assert creates[-1].params["flip"] == (end_a == end_b)
+        assert sum(m.kind == "eliminate_matching_pair"
+                   for m in recorded) == 1
+        assert q == merge_components(p, 0, 1, x, y)
+
+    def test_merge_refuses_an_endpoint_of_another_component(self):
+        p = build_pattern(3, (("interval", (1,), (), 1, 1),
+                              ("interval", (1,), (), 1, 1),
+                              ("circle", (1,), ())))
+        for args in ((0, 1, "x2", "x3"), (0, 1, None, "x0"),
+                     (0, 2, "x0", "x1"), (0, 1, "nope", None)):
+            with pytest.raises(PreconditionError,
+                               match="is not an endpoint of component"):
+                merge_components(p, *args)
+
+    @pytest.mark.parametrize("call", [
+        lambda: normalize_odd(build_pattern(
+            3, (("interval", (2,), (), 0, 0), ("interval", (1,), (), 1, 1),
+                ("interval", (2, 1), (0,), 0, 1))),
+            SignAssignment({f"x{k}": 1 for k in range(6)})),
+        lambda: normalize_even(build_pattern(
+            4, (("interval", (3,), (), 0, 0), ("interval", (2,), (), 1, 2),
+                ("circle", (2, 2), (1, 1)))),
+            SignAssignment({"x0": 1, "x1": 1, "x2": 1, "x3": 1}), 0),
+    ], ids=["normalize_odd", "normalize_even"])
+    def test_one_validation_per_call(self, call, monkeypatch):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return validate_pattern(p)
+
+        monkeypatch.setattr(pat, "validate_pattern", counting)
+        monkeypatch.setattr(mv, "validate_pattern", counting)
+        out = call()
+        assert isinstance(out, MoveTrace) and len(out.moves) > 3
+        assert len(calls) == 1 and calls[0] is out.initial
+        calls.clear()
+        assert replay(out) == out.final
+        assert len(calls) == 1 and calls[0] is out.initial

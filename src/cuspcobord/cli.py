@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Any, Optional
 
@@ -348,6 +349,12 @@ def _cmd_trace(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in exponent form, as in --t -2.5e-1, is a value
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message: str):
         # one stderr line, like every other error the tool reports
         self.exit(2, f"error: {self.prog}: {message}\n")

@@ -14,9 +14,15 @@ from .errors import PreconditionError
 from .invariants import (
     CobordismClass,
     SignAssignment,
+    _require_domain,
     cobordism_invariant,
 )
-from .morse import BoundaryCriticalPoint, MorseDescriptor, validate
+from .morse import (
+    BoundaryCriticalPoint,
+    MorseDescriptor,
+    euler_boundary_sum,
+    validate,
+)
 
 __all__ = [
     "is_cobordant",
@@ -61,13 +67,11 @@ def realize_sign_assignment(boundary: tuple[BoundaryCriticalPoint, ...],
     The stored signs on the points are overwritten; the interior is left
     without critical points.  The result must validate.
     """
-    ids = {p.id for p in boundary}
-    if sigma.domain() != ids:
-        raise PreconditionError("sign assignment domain mismatch")
+    _require_domain(boundary, sigma)
     signed = tuple(replace(p, sigma=sigma.sign(p.id)) for p in boundary)
-    chi_boundary = sum((-1) ** p.mu for p in signed)
     d = MorseDescriptor(n=n, oriented=True, chi_M=chi_M,
-                        chi_boundary=chi_boundary, boundary=signed)
+                        chi_boundary=euler_boundary_sum(signed),
+                        boundary=signed)
     validate(d).require("realized descriptor")
     return d
 
@@ -100,8 +104,7 @@ def solve_sigma_for_target(boundary: tuple[BoundaryCriticalPoint, ...],
         raise PreconditionError("boundary ids must be distinct")
 
     def invariant_of(cp: int) -> int:
-        v = chi_M - cp
-        return v % 2 if n % 2 == 0 else v
+        return CobordismClass.of(n, chi_M - cp).value
 
     n_even = sum(1 for p in pts if p.mu % 2 == 0)
     n_odd = len(pts) - n_even

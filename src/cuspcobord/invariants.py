@@ -106,19 +106,30 @@ def chi_plus(d: MorseDescriptor) -> int:
     return _chi_plus(d.boundary)
 
 
-def chi_plus_sigma(boundary: tuple[BoundaryCriticalPoint, ...],
-                   sigma: SignAssignment) -> int:
-    """``chi_plus`` recomputed with an explicit sign assignment.
-
-    The assignment must cover exactly the given points.
-    """
+def _require_domain(boundary: tuple[BoundaryCriticalPoint, ...],
+                    sigma: SignAssignment) -> None:
+    """Raise unless the assignment covers exactly the given points."""
     ids = {p.id for p in boundary}
     if sigma.domain() != ids:
         missing = sorted(ids - sigma.domain())
         extra = sorted(sigma.domain() - ids)
         raise PreconditionError(
             f"sign assignment domain mismatch: missing {missing}, extra {extra}")
+
+
+def _chi_plus_sigma(boundary: tuple[BoundaryCriticalPoint, ...],
+                    sigma: SignAssignment) -> int:
     return sum((-1) ** p.mu for p in boundary if sigma.sign(p.id) == 1)
+
+
+def chi_plus_sigma(boundary: tuple[BoundaryCriticalPoint, ...],
+                   sigma: SignAssignment) -> int:
+    """``chi_plus`` recomputed with an explicit sign assignment.
+
+    The assignment must cover exactly the given points.
+    """
+    _require_domain(boundary, sigma)
+    return _chi_plus_sigma(boundary, sigma)
 
 
 def signed_defect(chi_P: int,
@@ -153,9 +164,7 @@ def morse_van_schaack(n: int, chi_M: int,
     without interior critical points: chi_plus must equal chi_M (odd n) or
     agree with it mod 2 (even n)."""
     cp = chi_plus_sigma(boundary, sigma)
-    if n % 2 == 0:
-        return (cp - chi_M) % 2 == 0
-    return cp == chi_M
+    return CobordismClass.of(n, chi_M - cp).value == 0
 
 
 def euler_odd(chi_boundary: int) -> int:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .errors import PreconditionError
-from .invariants import SignAssignment, chi_plus_sigma
+from .invariants import SignAssignment, _chi_plus_sigma
 from .pattern import (
     CIRCLE,
     INTERVAL,
@@ -39,7 +39,6 @@ from .pattern import (
     Cusp,
     FoldArc,
     SingularPattern,
-    cusp_parity_check,
     validate_pattern,
 )
 from .pattern import (
@@ -47,7 +46,7 @@ from .pattern import (
     _even_ok,
     _fresh_names,
     _odd_ok,
-    _require_sigma,
+    _require,
     _transition_ok,
 )
 
@@ -98,10 +97,6 @@ class Obstruction:
     witness: dict
 
 
-def _element_ids(p: SingularPattern) -> set[str]:
-    return {e.id for comp in p.components for e in comp.sequence}
-
-
 def _locate(p: SingularPattern, elem_id: str,
             kind: type) -> tuple[int, int]:
     """(component, word position) of the arc or cusp with this id."""
@@ -127,7 +122,7 @@ def _create(p: SingularPattern, arc_id: str, i: int,
             f"arc {arc_id!r} has tau={arc.tau}; creating a pair with i={i} "
             f"needs tau={want}")
     inner_tau = max(i + 1, n - 2 - i)
-    used = _element_ids(p)
+    used = {e.id for c in p.components for e in c.sequence}
     cusp_names = _fresh_names(used, "c")
     arc_names = _fresh_names(used, "a")
     i_first, i_second = (n - 2 - i, i) if flip else (i, n - 2 - i)
@@ -170,7 +165,7 @@ def create_cusp_pair(p: SingularPattern, arc_id: str, i: int,
     word, which matters when a later elimination must route specific arc
     ends together.
     """
-    validate_pattern(p).require("pattern")
+    _require(p)
     return _create(p, arc_id, i, flip)[0]
 
 
@@ -354,7 +349,7 @@ def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
     not carry and must be vouched for via ``assume_removable``; from
     dimension 3 on it is automatic.
     """
-    validate_pattern(p).require("pattern")
+    _require(p)
     return _eliminate(p, c1_id, c2_id, reconnection, assume_removable)
 
 
@@ -401,8 +396,6 @@ def _ladder_to(p: SingularPattern, comp_idx: int, target_tau: int,
 def _toggle_parity(p: SingularPattern, comp_idx: int,
                    moves: list[Move]) -> SingularPattern:
     n = p.n
-    if n % 2 != 0:
-        raise PreconditionError(f"parity toggle needs even n, got {n}")
     if not 0 <= comp_idx < len(p.components):
         raise PreconditionError(f"no component {comp_idx}")
     if p.components[comp_idx].kind != INTERVAL:
@@ -428,7 +421,7 @@ def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
     The interval gains one cusp net and a one-cusp circle appears next to
     it; total cusp count changes by +2.
     """
-    validate_pattern(p).require("pattern")
+    _require(p, parity=0)
     return _toggle_parity(p, comp_idx, [])
 
 
@@ -444,8 +437,6 @@ def _merge(p: SingularPattern, idx_a: int, idx_b: int, moves: list[Move],
            endpoint_a: Optional[str] = None,
            endpoint_b: Optional[str] = None) -> SingularPattern:
     n = p.n
-    if n % 2 != 1 or n < 3:
-        raise PreconditionError(f"component merge needs odd n >= 3, got {n}")
     if idx_a == idx_b:
         raise PreconditionError("need two distinct components")
     ends = []  # which end of its interval each designated endpoint is
@@ -489,7 +480,7 @@ def merge_components(p: SingularPattern, idx_a: int, idx_b: int,
     first endpoint of each, unless named explicitly) finish on a common
     interval.  Net cusp change is +2 plus whatever index laddering needed.
     """
-    validate_pattern(p).require("pattern")
+    _require(p, parity=1)
     return _merge(p, idx_a, idx_b, [], endpoint_a, endpoint_b)
 
 
@@ -514,15 +505,8 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
     stripped of all cusps).
     """
     n = p.n
-    if n % 2 != 0:
-        raise PreconditionError(f"even normalization called with n={n}")
-    validate_pattern(p).require("pattern")
-    _require_sigma(p, sigma)
-    if not cusp_parity_check(p, chi_V):
-        raise PreconditionError(
-            f"cusp-parity law fails: {p.total_cusps} cusps vs chi_V={chi_V} "
-            f"and {len(p.boundary_points)} boundary points")
-    cp = chi_plus_sigma(p.boundary_points, sigma)
+    _require(p, sigma, parity=0, chi_V=chi_V)
+    cp = _chi_plus_sigma(p.boundary_points, sigma)
     if (chi_V - cp) % 2 != 0:
         return Obstruction("parity_mismatch", {
             "chi_V": chi_V,
@@ -574,11 +558,7 @@ def normalize_odd(p: SingularPattern,
     sign-sum obstruction.  Endpoints of opposite weight are paired greedily
     by id and their intervals merged so each pair bounds one interval.
     """
-    n = p.n
-    if n % 2 != 1:
-        raise PreconditionError(f"odd normalization called with n={n}")
-    validate_pattern(p).require("pattern")
-    _require_sigma(p, sigma)
+    _require(p, sigma, parity=1)
     by_id = p.boundary_by_id()
     eps = {pid: (-1) ** pt.mu * sigma.sign(pid)
            for pid, pt in by_id.items()}
@@ -618,7 +598,7 @@ def _apply(p: SingularPattern, move: Move) -> SingularPattern:
 
 def apply_move(p: SingularPattern, move: Move) -> SingularPattern:
     """Replay a single recorded move."""
-    validate_pattern(p).require("pattern")
+    _require(p)
     return _apply(p, move)
 
 

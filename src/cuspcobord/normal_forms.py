@@ -55,8 +55,12 @@ HESSIAN_RANK_RATIO = 1e-5
 NEWTON_MAXITER = 80
 NEWTON_BLOCK = 2048  # seeds per batch, so memory does not grow with the grid
 MAX_SEEDS = 10 ** 6  # seed budget of one detection
-# Largest swallowtail |t|.  The rank test is relative: from |t| near
-# 2 / HESSIAN_RANK_RATIO on, every fold sample reads as a cusp candidate.
+PERTURBATION_MARGIN = 1e-6  # sup |alpha * beta'| must stay below 1 minus this
+# Range of the swallowtail |t|.  The rank test is relative: from |t| near
+# 2 / HESSIAN_RANK_RATIO on, every fold sample reads as a cusp candidate,
+# and from |t| near 2 * HESSIAN_RANK_RATIO down some fold samples do;
+# from about 1e-60 down, Newton overflows.
+MIN_ABS_T = 1e-4
 MAX_ABS_T = 1e4
 
 
@@ -199,7 +203,8 @@ class Cusp:
 @dataclass(frozen=True)
 class SwallowTail:
     """Quartic one-parameter family; its singular curve carries two cusps
-    for t > 0 and none for t < 0.  t = 0 is non-generic and rejected."""
+    for t > 0 and none for t < 0.  t = 0 is non-generic; LocalMap accepts
+    MIN_ABS_T <= |t| <= MAX_ABS_T."""
 
     t: float
     index: int = 0
@@ -238,11 +243,9 @@ class LocalMap:
                 raise ValueError(
                     f"cusp index {k.index} outside [0, {n - 2}]")
         elif isinstance(k, SwallowTail):
-            if k.t == 0:
-                raise ValueError(
-                    "t = 0 is not generic; only t < 0 and t > 0 are modeled")
-            if not abs(k.t) <= MAX_ABS_T:
-                raise ValueError(f"|t| = {abs(k.t):g} exceeds {MAX_ABS_T:g}")
+            if not MIN_ABS_T <= abs(k.t) <= MAX_ABS_T:
+                raise ValueError(f"|t| = {abs(k.t):g} is outside "
+                                 f"[{MIN_ABS_T:g}, {MAX_ABS_T:g}]")
             if not 0 <= k.index <= max(n - 2, 0):
                 raise ValueError(
                     f"quadratic index {k.index} outside [0, {max(n - 2, 0)}]")
@@ -770,11 +773,11 @@ def perturbation_supremum(alpha: PiecewisePoly, beta: PiecewisePoly) -> float:
     return alpha.max_abs() * beta.derivative().max_abs()
 
 
-def check_perturbation_condition(alpha: PiecewisePoly, beta: PiecewisePoly,
-                                 margin: float = 1e-6) -> bool:
-    """Whether |alpha(t) * beta'(r)| stays below 1 with the given margin,
+def check_perturbation_condition(alpha: PiecewisePoly,
+                                 beta: PiecewisePoly) -> bool:
+    """Whether |alpha(t) * beta'(r)| stays below 1 - PERTURBATION_MARGIN,
     judged on the exact supremum."""
-    return perturbation_supremum(alpha, beta) < 1.0 - margin
+    return perturbation_supremum(alpha, beta) < 1.0 - PERTURBATION_MARGIN
 
 
 @dataclass(frozen=True)
@@ -802,15 +805,15 @@ class PerturbedFoldReport:
 
 def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
                          beta: PiecewisePoly, tol: float = 1e-8,
-                         grid: Optional[GridSpec] = None,
-                         margin: float = 1e-6) -> PerturbedFoldReport:
+                         grid: Optional[GridSpec] = None
+                         ) -> PerturbedFoldReport:
     """Verify that the perturbed fold's singular set is the parameter axis
     and its singular-value curve is the graph of t -> alpha(t) * beta(0)."""
-    if not check_perturbation_condition(alpha, beta, margin=margin):
+    sup = perturbation_supremum(alpha, beta)
+    if not sup < 1.0 - PERTURBATION_MARGIN:
         raise PreconditionError(
             f"perturbation condition fails: sup |alpha * beta'| = "
-            f"{perturbation_supremum(alpha, beta):.6g} is not below "
-            f"1 - {margin:g}")
+            f"{sup:.6g} is not below 1 - {PERTURBATION_MARGIN:g}")
     m = LocalMap(n, PerturbedFold(index, alpha, beta))
     if grid is None:
         grid = default_grid(m)
@@ -825,7 +828,7 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
         _, h = evaluate(m, s.point)
         max_img = max(max_img, abs(h - alpha(t) * beta0))
     return PerturbedFoldReport(
-        sup_product=perturbation_supremum(alpha, beta),
+        sup_product=sup,
         detected=tuple(samples),
         max_axis_distance=max_axis,
         max_image_error=max_img,

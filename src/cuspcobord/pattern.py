@@ -27,7 +27,12 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import PreconditionError
-from .invariants import SignAssignment, chi_plus_sigma
+from .invariants import (
+    SignAssignment,
+    _chi_plus_sigma,
+    _require_domain,
+    signed_defect,
+)
 from .morse import (
     BoundaryCriticalPoint,
     ValidationReport,
@@ -141,6 +146,13 @@ class SingularPattern:
     def boundary_by_id(self) -> dict[str, BoundaryCriticalPoint]:
         return {p.id: p for p in self.boundary_points}
 
+    @functools.cached_property
+    def _report(self) -> ValidationReport:
+        # kept on the object, outside the fields: equality and hashing
+        # ignore it, and a pattern built by replace() or a move starts
+        # without one
+        return _check_laws(self)
+
     @property
     def total_cusps(self) -> int:
         return sum(c.cusp_count for c in self.components)
@@ -167,29 +179,25 @@ def _transition_ok(cusp: Cusp, left: FoldArc, right: FoldArc, n: int) -> bool:
 
 def _alternation_ok(comp: Component) -> bool:
     seq = comp.sequence
-    if not seq:
-        return False
-    if comp.kind == CIRCLE:
-        if len(seq) == 1:
-            return isinstance(seq[0], FoldArc)
-        if len(seq) % 2 != 0:
-            return False
-        return all(isinstance(e, FoldArc if i % 2 == 0 else Cusp)
-                   for i, e in enumerate(seq))
-    if len(seq) % 2 != 1:
+    if comp.kind == CIRCLE and len(seq) == 1:
+        return isinstance(seq[0], FoldArc)
+    # arc first; a circle's word ends on a cusp, an interval's on an arc
+    if not seq or len(seq) % 2 != (comp.kind == INTERVAL):
         return False
     return all(isinstance(e, FoldArc if i % 2 == 0 else Cusp)
                for i, e in enumerate(seq))
 
 
-# Memoized: patterns and reports are immutable, and every public call
-# validates its pattern once, so a caller asking several questions of one
-# pattern object pays once.  The acceptance gate's criterion 5 asks two per
-# sign assignment (36 s without the cache, 16 s with it, on a 2-CPU host);
-# the benchmark's enum_stream asks four.
-@functools.lru_cache(maxsize=8192)
 def validate_pattern(p: SingularPattern) -> ValidationReport:
-    """Check every structural law, reporting each violation with its location."""
+    """Check every structural law, reporting each violation with its location.
+
+    The report is computed once per pattern object and kept on it, so a
+    caller asking several questions of one pattern pays for one check.
+    """
+    return p._report
+
+
+def _check_laws(p: SingularPattern) -> ValidationReport:
     out: list[Violation] = []
     lo, hi = fold_tau_range(p.n)
     by_id = p.boundary_by_id()
@@ -301,10 +309,22 @@ def _fresh_names(used: set[str], prefix: str):
             yield cand
 
 
-def _require_sigma(p: SingularPattern, sigma: SignAssignment) -> None:
-    ids = {bp.id for bp in p.boundary_points}
-    if sigma.domain() != ids:
-        raise PreconditionError("sign assignment domain mismatch with pattern")
+def _require(p: SingularPattern, sigma: Optional[SignAssignment] = None,
+             parity: Optional[int] = None,
+             chi_V: Optional[int] = None) -> None:
+    """The preconditions of a public pattern call, in this order: an ambient
+    dimension of the given parity (0 even, 1 odd), a valid pattern, a sign
+    assignment on exactly its boundary points, the cusp-parity law."""
+    if parity is not None and p.n % 2 != parity:
+        raise PreconditionError(
+            f"needs {('even', 'odd')[parity]} ambient dimension, got n={p.n}")
+    validate_pattern(p).require("pattern")
+    if sigma is not None:
+        _require_domain(p.boundary_points, sigma)
+    if chi_V is not None and not cusp_parity_check(p, chi_V):
+        raise PreconditionError(
+            f"cusp-parity law fails: {p.total_cusps} cusps vs chi_V={chi_V} "
+            f"and {len(p.boundary_points)} boundary points")
 
 
 def vector_field_exists(p: SingularPattern, sigma: SignAssignment) -> bool:
@@ -313,18 +333,8 @@ def vector_field_exists(p: SingularPattern, sigma: SignAssignment) -> bool:
     Componentwise: every circle must carry an even number of cusps, and an
     interval carries an even number iff its two endpoint signs differ.
     """
-    validate_pattern(p).require("pattern")
-    _require_sigma(p, sigma)
-    for comp in p.components:
-        even = comp.cusp_count % 2 == 0
-        if comp.kind == CIRCLE:
-            if not even:
-                return False
-        else:
-            x0, x1 = comp.endpoints
-            if even != (sigma.sign(x0) != sigma.sign(x1)):
-                return False
-    return True
+    _require(p, sigma)
+    return all(_even_ok(comp, sigma) for comp in p.components)
 
 
 def _half_sign_sum(comp: Component, sigma: SignAssignment) -> int:
@@ -348,10 +358,7 @@ def check_condition_even(p: SingularPattern,
                          sigma: SignAssignment) -> list[bool]:
     """Per-component congruence for even n: cusp count plus half the
     endpoint sign sum must vanish mod 2."""
-    if p.n % 2 != 0:
-        raise PreconditionError(f"even-dimensional check called with n={p.n}")
-    validate_pattern(p).require("pattern")
-    _require_sigma(p, sigma)
+    _require(p, sigma, parity=0)
     return [_even_ok(comp, sigma) for comp in p.components]
 
 
@@ -359,10 +366,7 @@ def check_condition_odd(p: SingularPattern,
                         sigma: SignAssignment) -> list[bool]:
     """Per-component equation for odd n: the (-1)^mu-weighted endpoint sign
     sum must vanish.  Circles pass vacuously."""
-    if p.n % 2 != 1:
-        raise PreconditionError(f"odd-dimensional check called with n={p.n}")
-    validate_pattern(p).require("pattern")
-    _require_sigma(p, sigma)
+    _require(p, sigma, parity=1)
     by_id = p.boundary_by_id()
     return [_odd_ok(comp, by_id, sigma) for comp in p.components]
 
@@ -384,15 +388,8 @@ def aggregate_even(p: SingularPattern, sigma: SignAssignment,
                    chi_V: int) -> tuple[int, int]:
     """Both sides, as mod-2 residues, of the even-dimensional aggregate
     congruence: chi_V - chi_plus versus the sum of componentwise defects."""
-    if p.n % 2 != 0:
-        raise PreconditionError(f"even aggregate called with n={p.n}")
-    validate_pattern(p).require("pattern")
-    _require_sigma(p, sigma)
-    if not cusp_parity_check(p, chi_V):
-        raise PreconditionError(
-            "cusp-parity law fails for the given ambient Euler "
-            "characteristic; the aggregate congruence presupposes it")
-    lhs = (chi_V - chi_plus_sigma(p.boundary_points, sigma)) % 2
+    _require(p, sigma, parity=0, chi_V=chi_V)
+    lhs = (chi_V - _chi_plus_sigma(p.boundary_points, sigma)) % 2
     rhs = sum(not _even_ok(comp, sigma) for comp in p.components) % 2
     return lhs, rhs
 
@@ -400,18 +397,11 @@ def aggregate_even(p: SingularPattern, sigma: SignAssignment,
 def aggregate_odd(p: SingularPattern,
                   sigma: SignAssignment) -> tuple[Fraction, Fraction]:
     """Both sides of the odd-dimensional aggregate identity:
-    chi(boundary)/2 - chi_plus versus -1/2 of the total weighted sign sum."""
-    if p.n % 2 != 1:
-        raise PreconditionError(f"odd aggregate called with n={p.n}")
-    validate_pattern(p).require("pattern")
-    _require_sigma(p, sigma)
-    chi_dV = euler_boundary_sum(p.boundary_points)
-    lhs = Fraction(chi_dV, 2) - chi_plus_sigma(p.boundary_points, sigma)
-    by_id = p.boundary_by_id()
-    total = 0
-    for comp in p.components:
-        if comp.kind == INTERVAL:
-            total += sum((-1) ** by_id[x].mu * sigma.sign(x)
-                         for x in comp.endpoints)
-    rhs = -Fraction(total, 2)
-    return lhs, rhs
+    chi(boundary)/2 - chi_plus versus -1/2 of the total weighted sign sum.
+
+    Every boundary point ends exactly one interval, so the sum over interval
+    ends is the sum over boundary points that ``signed_defect`` takes; it
+    also checks the domain of ``sigma``."""
+    _require(p, parity=1)
+    bp = p.boundary_points
+    return signed_defect(euler_boundary_sum(bp), bp, sigma)

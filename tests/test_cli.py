@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, formats, golden-file determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cuspcobord import cli
 from cuspcobord.cli import main
@@ -100,7 +106,10 @@ class TestExitCodes:
         assert err.startswith("error:") and "finite" in err
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["1e300", "-1e300", "10001"])
+    # below 1e-4 the rank test reads fold samples as cusps too, and from
+    # about 1e-60 down Newton overflows
+    @pytest.mark.parametrize("value", ["1e300", "-1e300", "10001", "1e-5",
+                                       "-1e-300", "5e-324"])
     def test_swallowtail_parameter_out_of_range(self, value, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -112,10 +121,17 @@ class TestExitCodes:
         assert captured.err.count("\n") == 1
         assert not caught
 
-    @pytest.mark.parametrize("value", ["1e4", "-1e4"])
+    @pytest.mark.parametrize("value", ["1e4", "-1e4", "1e-4", "-1e-4"])
     def test_swallowtail_parameter_at_the_bound(self, value, capsys):
         assert main(["trace", "swallowtail", f"--t={value}", "--csv"]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", ["-2.5e-1", "-25E-2", "-.25"])
+    def test_negative_value_after_a_space(self, value, capsys):
+        assert main(["trace", "swallowtail", "--t", value, "--csv"]) == 0
+        spaced = capsys.readouterr()
+        assert main(["trace", "swallowtail", "--t=-0.25", "--csv"]) == 0
+        assert capsys.readouterr() == spaced and spaced.err == ""
 
     def test_internal_error_exits_3_with_one_line(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.mv, "replay", lambda trace: trace.initial)
@@ -312,3 +328,121 @@ class TestArtifacts:
         got = capsys.readouterr().out
         golden = (REPO_ROOT / "golden" / "trace_fold.csv").read_text()
         assert got == golden
+
+
+# pattern files with a sign assignment each; only odd_circle_n2's does not
+# cover its boundary points (it has none)
+FUZZ_PATTERNS = [("two_intervals_n3.json", "sigma_pp_pp.json"),
+                 ("two_intervals_n2.json", "sigma_pp_pp.json"),
+                 ("interval_0cusp.json", "sigma_pm.json"),
+                 ("interval_0cusp.json", "sigma_pp.json"),
+                 ("odd_circle_n2.json", "sigma_pp.json")]
+FUZZ_DESCRIPTORS = ["fig2.json", "d3_generator.json", "d3_sigma_pm.json",
+                    "empty.json"]
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
+                 st.floats(allow_nan=True, allow_infinity=True),
+                 st.sampled_from(["", "x0", "y1", "a0", "c0", "arc", "cusp",
+                                  "interval", "circle"]),
+                 st.just([]), st.just({}))
+
+
+def _nodes(doc, at=()):
+    yield at
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, at + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from _nodes(value, at + (k,))
+
+
+@st.composite
+def _mutated(draw, name):
+    """A corpus document with up to three random edits: a node replaced by
+    junk, deleted, or duplicated."""
+    with open(REPO_ROOT / "corpus" / name, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.sampled_from(list(_nodes(doc))))
+        if not at:
+            doc = draw(JUNK)
+            continue
+        parent = doc
+        for key in at[:-1]:
+            parent = parent[key]
+        key = at[-1]
+        edit = draw(st.sampled_from(["junk", "delete", "duplicate"]))
+        if edit == "junk":
+            parent[key] = draw(JUNK)
+        elif edit == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[f"{key}_copy"] = copy.deepcopy(parent[key])
+    return doc
+
+
+def _run(argv, files):
+    """cli.main on argv with each {name} filled by a temporary JSON file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in files.items():
+            paths[name] = f"{tmp}/{name}.json"
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([a.format(**paths) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(code, out, err, as_json):
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err and err.count("\n") <= 1, err
+    assert (code == 2) == err.startswith("error: "), (code, err)
+    if as_json and code != 2:
+        json.loads(out)
+
+
+class TestInputContract:
+    """Every input ends in exit 0, 1 or 2, with at most one stderr line and
+    no traceback; --json output parses."""
+
+    @given(data=st.data())
+    def test_mutated_corpus_files(self, data):
+        action = data.draw(st.sampled_from(
+            ["invariant", "validate", "check", "normalize"]))
+        as_json = data.draw(st.booleans())
+        if action == "invariant":
+            files = {"d": data.draw(_mutated(data.draw(
+                st.sampled_from(FUZZ_DESCRIPTORS))))}
+            argv = ["invariant", "{d}"]
+        else:
+            pattern, sigma = data.draw(st.sampled_from(FUZZ_PATTERNS))
+            files = {"p": data.draw(_mutated(pattern))}
+            argv = ["pattern", action, "{p}"]
+            if action != "validate":
+                files["s"] = data.draw(_mutated(sigma))
+                argv += ["--sigma", "{s}"]
+                chi_v = data.draw(st.one_of(st.none(), st.integers(-2, 3)))
+                if chi_v is not None:
+                    argv += ["--chi-v", str(chi_v)]
+        if as_json:
+            argv.append("--json")
+        _assert_contract(*_run(argv, files), as_json)
+
+    @given(t=st.floats(), tol=st.one_of(st.none(), st.floats()),
+           spaced=st.booleans(), as_json=st.booleans())
+    def test_float_arguments(self, t, tol, spaced, as_json):
+        argv = ["trace", "swallowtail", "--grid=-1:1:3,-1:1:3,-1:1:3",
+                "--csv"]
+        for flag, value in (("--t", t), ("--tol", tol)):
+            if value is not None:
+                argv += [flag, repr(value)] if spaced else [
+                    f"{flag}={value!r}"]
+        if as_json:
+            argv.append("--json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_contract(*_run(argv, {}), as_json)

@@ -1,5 +1,6 @@
 """Pattern structure: index rules, validation, field predicates, aggregates."""
 
+import ast
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,9 @@ from fractions import Fraction
 import pytest
 
 from cuspcobord import PreconditionError, SignAssignment
+from cuspcobord import moves as mv
+from cuspcobord import pattern as pat
+from cuspcobord.cli import main
 from cuspcobord.morse import BoundaryCriticalPoint
 from cuspcobord.pattern import (
     CIRCLE,
@@ -27,6 +31,7 @@ from cuspcobord.pattern import (
     vector_field_exists,
 )
 
+from _corpus import REPO_ROOT
 from _enumeration import (
     build_pattern,
     cusp_abut_pairs,
@@ -363,3 +368,183 @@ class TestAggregates:
         sigma = SignAssignment({"x0": 1, "x1": 1})
         lhs, rhs = aggregate_odd(p, sigma)
         assert lhs == rhs == Fraction(1)
+
+
+# an odd and an even pattern whose normalization takes several moves
+ODD = (3, (("interval", (2,), (), 0, 0), ("interval", (1,), (), 1, 1),
+           ("interval", (2, 1), (0,), 0, 1)))
+EVEN = (4, (("interval", (3,), (), 0, 0), ("interval", (2,), (), 1, 2),
+            ("circle", (2, 2), (1, 1))))
+
+
+def _all_plus(p: SingularPattern) -> SignAssignment:
+    return SignAssignment({bp.id: 1 for bp in p.boundary_points})
+
+
+class TestReportPerObject:
+    """The law check runs at most once per pattern object; its report is
+    kept on the object, and nothing is shared between objects."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        seen = []
+        check = pat._check_laws
+
+        def counting(p):
+            seen.append(p)
+            return check(p)
+
+        monkeypatch.setattr(pat, "_check_laws", counting)
+        return seen
+
+    def test_every_question_on_one_odd_object_costs_one_run(self, runs):
+        p = build_pattern(*ODD)
+        sigma = _all_plus(p)
+        assert check_condition_odd(p, sigma) == [False, False, True]
+        assert not vector_field_exists(p, sigma)
+        assert aggregate_odd(p, sigma) == (Fraction(0), Fraction(0))
+        out = mv.normalize_odd(p, sigma)
+        assert isinstance(out, mv.MoveTrace) and out.initial is p
+        assert mv.replay(out) == out.final
+        assert validate_pattern(p) is validate_pattern(p)
+        assert runs == [p]
+
+    def test_every_question_on_one_even_object_costs_one_run(self, runs):
+        p = build_pattern(*EVEN)
+        sigma = _all_plus(p)
+        check_condition_even(p, sigma)
+        vector_field_exists(p, sigma)
+        assert aggregate_even(p, sigma, 0) == (0, 0)
+        out = mv.normalize_even(p, sigma, 0)
+        assert isinstance(out, mv.MoveTrace) and len(out.moves) > 3
+        assert mv.replay(out) == out.final
+        mv.toggle_parity(p, 0)
+        assert runs == [p]
+
+    def test_cli_check_asks_three_questions_for_one_run(self, runs, capsys):
+        assert main(["pattern", "check",
+                     str(REPO_ROOT / "corpus" / "two_intervals_n2.json"),
+                     "--sigma", str(REPO_ROOT / "corpus" / "sigma_pp_pp.json"),
+                     "--chi-v", "0"]) == 1  # no normal field
+        assert "aggregate_lhs=0" in capsys.readouterr().out
+        assert len(runs) == 1
+
+    def test_an_equal_but_distinct_object_gets_its_own_run(self, runs):
+        p, q = build_pattern(*ODD), build_pattern(*ODD)
+        assert p == q and hash(p) == hash(q) and p is not q
+        vector_field_exists(p, _all_plus(p))
+        vector_field_exists(q, _all_plus(q))
+        assert runs == [p, q] and runs[1] is q
+        assert validate_pattern(p) == validate_pattern(q)
+
+    def test_the_report_is_not_a_field(self):
+        p = build_pattern(*ODD)
+        before = hash(p)
+        assert validate_pattern(p).ok
+        assert hash(p) == before and p == build_pattern(*ODD)
+        assert "_report" not in repr(p)
+        assert "_report" not in vars(replace(p))
+
+    def test_a_move_output_is_validated_afresh(self, runs):
+        p = build_pattern(*ODD)
+        q = mv.create_cusp_pair(p, "a0", 0)
+        assert runs == [p] and "_report" not in vars(q)
+        r = mv.create_cusp_pair(q, "a1", 1)
+        assert runs == [p, q]
+        assert validate_pattern(r).ok and runs == [p, q, r]
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda p, s: check_condition_odd(p, s),
+         "needs odd ambient dimension, got n=4"),
+        (lambda p, s: aggregate_odd(p, s),
+         "needs odd ambient dimension, got n=4"),
+        (lambda p, s: mv.normalize_odd(p, s),
+         "needs odd ambient dimension, got n=4"),
+        (lambda p, s: mv.merge_components(p, 0, 1),
+         "needs odd ambient dimension, got n=4"),
+        (lambda p, s: check_condition_even(p, s),
+         "sign assignment domain mismatch: missing ['x3'], extra ['y']"),
+        (lambda p, s: aggregate_even(p, s, 0),
+         "sign assignment domain mismatch: missing ['x3'], extra ['y']"),
+        (lambda p, s: mv.normalize_even(p, s, 0),
+         "sign assignment domain mismatch: missing ['x3'], extra ['y']"),
+        (lambda p, s: aggregate_even(p, _all_plus(p), 1),
+         "cusp-parity law fails: 2 cusps vs chi_V=1 and 4 boundary points"),
+        (lambda p, s: mv.normalize_even(p, _all_plus(p), 1),
+         "cusp-parity law fails: 2 cusps vs chi_V=1 and 4 boundary points"),
+    ])
+    def test_one_message_per_precondition(self, call, message):
+        p = build_pattern(*EVEN)
+        sigma = SignAssignment({"x0": 1, "x1": 1, "x2": 1, "y": 1})
+        with pytest.raises(PreconditionError) as info:
+            call(p, sigma)
+        assert str(info.value) == message
+
+    def test_preconditions_are_checked_in_order(self):
+        # each call breaks its first precondition and every later one
+        p = build_pattern(3, (("interval", (2,), (), 0, 0),))
+        bad = replace(p, components=p.components * 2)
+        assert not validate_pattern(bad).ok
+        wrong = SignAssignment({"y": 1})
+        for call in (lambda: mv.normalize_even(bad, wrong, 1),
+                     lambda: check_condition_even(bad, wrong),
+                     lambda: mv.toggle_parity(bad, 0)):
+            with pytest.raises(PreconditionError,
+                               match="needs even ambient dimension, got n=3"):
+                call()
+        with pytest.raises(PreconditionError, match="^invalid pattern: "):
+            mv.normalize_odd(bad, wrong)
+        with pytest.raises(PreconditionError, match="domain mismatch"):
+            mv.normalize_even(build_pattern(*EVEN), wrong, 1)
+
+    @pytest.mark.parametrize("argv, line", [
+        (["pattern", "check", "two_intervals_n3.json", "--sigma",
+          "sigma_pm.json"],
+         "error: sign assignment domain mismatch: missing ['y0', 'y1'], "
+         "extra []\n"),
+        (["pattern", "normalize", "two_intervals_n2.json", "--sigma",
+          "sigma_pp_pp.json", "--chi-v", "1"],
+         "error: cusp-parity law fails: 0 cusps vs chi_V=1 and 4 boundary "
+         "points\n"),
+    ])
+    def test_the_cli_prints_one_line_and_exits_2(self, argv, line, capsys):
+        argv = [str(REPO_ROOT / "corpus" / a) if a.endswith(".json") else a
+                for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line
+
+
+NO_CACHE_DECORATORS = {"functools.lru_cache", "functools.cache",
+                       "lru_cache", "cache"}
+
+
+def _global_cache_decorators(source: str) -> list[str]:
+    """Names of functools cache decorators applied anywhere in source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for deco in getattr(node, "decorator_list", ()):
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            name = ast.unparse(target)
+            if name in NO_CACHE_DECORATORS:
+                found.append(f"{node.name}: @{name}")
+    return found
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("import functools\n@functools.lru_cache(maxsize=8)\ndef f(x): ...", 1),
+    ("from functools import cache\n@cache\ndef f(x): ...", 1),
+    ("class C:\n    @functools.cache\n    def f(self): ...", 1),
+    ("class C:\n    @functools.cached_property\n    def f(self): ...", 0),
+])
+def test_cache_decorator_finder(source, hits):
+    assert len(_global_cache_decorators(source)) == hits
+
+
+def test_the_package_has_no_global_caches():
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "cuspcobord").glob("*.py")):
+        found += [f"{path.name}: {hit}" for hit in
+                  _global_cache_decorators(path.read_text(encoding="utf-8"))]
+    assert not found, found

@@ -351,9 +351,10 @@ def _cmd_trace(args) -> int:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative number in exponent form, as in --t -2.5e-1, is a value
-        self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # a dash before a digit (or before a point and a digit) starts a
+        # value, as in --t -2.5e-1 or --grid -1:1:3,...; no option of the
+        # tool starts with a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         # one stderr line, like every other error the tool reports

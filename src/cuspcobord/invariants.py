@@ -96,14 +96,10 @@ class CobordismClass:
         return self + (-other)
 
 
-def _chi_plus(boundary: tuple[BoundaryCriticalPoint, ...]) -> int:
-    return sum((-1) ** p.mu for p in boundary if p.sigma == 1)
-
-
 def chi_plus(d: MorseDescriptor) -> int:
     """Alternating count of inward-increasing boundary critical points."""
     validate(d).require("descriptor")
-    return _chi_plus(d.boundary)
+    return sum((-1) ** p.mu for p in d.boundary if p.sigma == 1)
 
 
 def _require_domain(boundary: tuple[BoundaryCriticalPoint, ...],
@@ -153,8 +149,7 @@ def signed_defect(chi_P: int,
 
 def cobordism_invariant(d: MorseDescriptor) -> CobordismClass:
     """The complete cobordism invariant chi_M - chi_plus of a descriptor."""
-    validate(d).require("descriptor")
-    return CobordismClass.of(d.n, d.chi_M - _chi_plus(d.boundary))
+    return CobordismClass.of(d.n, d.chi_M - chi_plus(d))
 
 
 def morse_van_schaack(n: int, chi_M: int,

@@ -13,6 +13,7 @@ functions with the same descriptor are indistinguishable to this package.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -76,6 +77,12 @@ class MorseDescriptor:
         """Descriptor of the empty manifold (unit for disjoint union)."""
         return cls(n=n, oriented=oriented, chi_M=0, chi_boundary=0)
 
+    @functools.cached_property
+    def _report(self) -> "ValidationReport":
+        # kept on the object, outside the fields: equality and hashing
+        # ignore it, and a descriptor built by replace() starts without one
+        return _check_laws(self)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -111,8 +118,14 @@ def validate(d: MorseDescriptor) -> ValidationReport:
     """Check the internal consistency laws of a descriptor.
 
     Never raises: every violated law is reported with the offending
-    quantity so callers can decide what to do.
+    quantity so callers can decide what to do.  The report is computed once
+    per descriptor object and kept on it, so a caller asking several
+    questions of one descriptor pays for one check.
     """
+    return d._report
+
+
+def _check_laws(d: MorseDescriptor) -> ValidationReport:
     out: list[Violation] = []
 
     for p in d.interior:

@@ -171,9 +171,16 @@ _SMOOTHSTEP = (0.0, 0.0, 0.0, 10.0, -15.0, 6.0)  # 10u^3 - 15u^4 + 6u^5
 
 def smooth_bump(center: float, radius: float, height: float) -> PiecewisePoly:
     """C^2 bump supported on [center-radius, center+radius] with the given
-    peak value at the center."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    peak value at the center.  Its pieces in powers of t cancel as
+    |center| / radius grows (off the exact smoothstep by 1e-13, 1e-9, 1e-5
+    times |height| at 1, 10, 64), hence the bounds checked here."""
+    if not 1e-3 <= radius <= 1e3:
+        raise ValueError(f"radius {radius:g} is outside [0.001, 1000]")
+    if not abs(center) <= 10 * radius:
+        raise ValueError(
+            f"center {center:g} is outside [-10 * radius, 10 * radius]")
+    if not abs(height) <= 1e3:
+        raise ValueError(f"height {height:g} is outside [-1000, 1000]")
     a, c, b = center - radius, center, center + radius
     up = _poly_compose_linear(_SMOOTHSTEP, -a / radius, 1.0 / radius)
     down = _poly_compose_linear(_SMOOTHSTEP, b / radius, -1.0 / radius)
@@ -315,7 +322,7 @@ def jacobian(m: LocalMap, p: Sequence[float]) -> np.ndarray:
         out[1, 0] = z[0]
     elif isinstance(k, PerturbedFold):
         out[1, 0] = k.alpha.derivative()(t) * k.beta(float(rest @ rest))
-    out[1, 1:] = _z_grad(m, t, rest)
+    out[1, 1:] = _z_grad_rows(m, np.array([t]), rest[None])[0]
     return out
 
 
@@ -373,14 +380,6 @@ def _z_hess_rows(m: LocalMap, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
         H[:, 0, 0] = (6 * Z[:, 0] if isinstance(k, Cusp)
                       else _pow(Z[:, 0], 2) - k.t)
     return H
-
-
-def _z_grad(m: LocalMap, t: float, z: np.ndarray) -> np.ndarray:
-    return _z_grad_rows(m, np.array([t]), np.array([z], dtype=float))[0]
-
-
-def _z_hess(m: LocalMap, t: float, z: np.ndarray) -> np.ndarray:
-    return _z_hess_rows(m, np.array([t]), np.array([z], dtype=float))[0]
 
 
 def _row_norms(G: np.ndarray) -> np.ndarray:
@@ -488,67 +487,87 @@ class SingularSample:
         return self.kind
 
 
+def _solve_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A x = b for each row's matrix A and right side b; least squares
+    where A is exactly singular."""
+    try:
+        return np.linalg.solve(A, B[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(B)
+    for i in range(len(B)):
+        try:
+            out[i] = np.linalg.solve(A[i], B[i])
+        except np.linalg.LinAlgError:
+            out[i] = np.linalg.lstsq(A[i], B[i], rcond=None)[0]
+    return out
+
+
 def _newton_steps(m: LocalMap, T: np.ndarray, Z: np.ndarray,
                   G: np.ndarray) -> np.ndarray:
-    """Solve H step = G for each row's z-Hessian H; least squares where H is
-    exactly singular."""
+    """Solve H step = G for each row's z-Hessian H."""
     H = _z_hess_rows(m, T, Z)
     if isinstance(m.kind, PerturbedFold):
-        try:
-            return np.linalg.solve(H, G[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            steps, retry = np.empty_like(G), range(len(G))
-    else:
-        # diagonal Hessians: an LU solve reduces to this division exactly
-        D = H.diagonal(axis1=1, axis2=2)
-        regular = np.all(D != 0, axis=1)
-        steps = np.empty_like(G)
-        steps[regular] = G[regular] / D[regular]
-        retry = np.flatnonzero(~regular)
-    for i in retry:
-        try:
-            steps[i] = np.linalg.solve(H[i], G[i])
-        except np.linalg.LinAlgError:
-            steps[i] = np.linalg.lstsq(H[i], G[i], rcond=None)[0]
+        return _solve_rows(H, G)
+    # diagonal Hessians: an LU solve reduces to this division exactly
+    D = H.diagonal(axis1=1, axis2=2)
+    regular = np.all(D != 0, axis=1)
+    steps = np.empty_like(G)
+    steps[regular] = G[regular] / D[regular]
+    steps[~regular] = _solve_rows(H[~regular], G[~regular])
     return steps
 
 
-def _newton_rows(m: LocalMap, T: np.ndarray,
-                 Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton in z for every row at its fixed first coordinate.
+def _damped_newton(F, step, X: np.ndarray,
+                   maxiter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton towards F = 0 from every row of X.
 
-    Each row follows the one-seed iteration exactly: stop below
-    NEWTON_RESIDUAL or after NEWTON_MAXITER steps; halve the step up to 25
-    times until the residual drops, and stop a row whose residual never
-    does.  Returns the final z and residual of every row.
+    Each row follows the one-point iteration exactly: stop below
+    NEWTON_RESIDUAL or after ``maxiter`` steps; move by ``step(x, F(x))``,
+    halved up to 25 times until the residual norm drops, and stop a row
+    whose residual never does.  Returns the final rows and residual norms.
     """
-    Z = Z.copy()
-    G = _z_grad_rows(m, T, Z)
+    X = X.copy()
+    G = F(X)
     res = _row_norms(G)
-    live = np.arange(len(T))
-    for _ in range(NEWTON_MAXITER):
+    live = np.arange(len(X))
+    for _ in range(maxiter):
         live = live[~(res[live] < NEWTON_RESIDUAL)]
         if not live.size:
             break
-        t, z = T[live], Z[live]
-        step = _newton_steps(m, t, z, G[live])
+        x = X[live]
+        dx = step(x, G[live])
         improved = np.zeros(live.size, dtype=bool)
         todo = np.arange(live.size)
         scale = 1.0
         for _ in range(25):
-            zn = z[todo] - scale * step[todo]
-            gn = _z_grad_rows(m, t[todo], zn)
+            xn = x[todo] - scale * dx[todo]
+            gn = F(xn)
             rn = _row_norms(gn)
             ok = rn < res[live[todo]]
             rows = live[todo[ok]]
-            Z[rows], G[rows], res[rows] = zn[ok], gn[ok], rn[ok]
+            X[rows], G[rows], res[rows] = xn[ok], gn[ok], rn[ok]
             improved[todo[ok]] = True
             todo = todo[~ok]
             if not todo.size:
                 break
             scale /= 2
         live = live[improved]
-    return Z, res
+    return X, res
+
+
+def _newton_rows(m: LocalMap, T: np.ndarray,
+                 Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton in z for every row at its fixed first coordinate, for
+    up to NEWTON_MAXITER steps.  Returns the final z and residual of every
+    row."""
+    def step(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        # a zero t-step leaves t bit for bit: t - 0.0 == t
+        return np.column_stack(
+            [np.zeros(len(X)), _newton_steps(m, X[:, 0], X[:, 1:], G)])
+
+    X, res = _damped_newton(lambda X: _z_grad_rows(m, X[:, 0], X[:, 1:]),
+                            step, np.column_stack([T, Z]), NEWTON_MAXITER)
+    return X[:, 1:], res
 
 
 def _canonical_key(point: Sequence[float]) -> tuple:
@@ -583,60 +602,6 @@ def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
     return kept[:len(leads)]
 
 
-def _classify(m: LocalMap, point: np.ndarray) -> tuple[str, Optional[int]]:
-    H = _z_hess(m, float(point[0]), point[1:])
-    eigs = np.linalg.eigvalsh(H)
-    amax = float(np.max(np.abs(eigs)))
-    if amax < 1e-12:
-        return "unknown", None
-    if float(np.min(np.abs(eigs))) < HESSIAN_RANK_RATIO * amax:
-        return "cusp-candidate", None
-    return "fold", int(np.sum(eigs < 0))
-
-
-def _full_residual(m: LocalMap, point: np.ndarray) -> float:
-    return float(np.linalg.norm(_z_grad(m, float(point[0]), point[1:])))
-
-
-def _cusp_system(m: LocalMap, x: np.ndarray) -> np.ndarray:
-    g = _z_grad(m, float(x[0]), x[1:])
-    d = np.linalg.det(_z_hess(m, float(x[0]), x[1:]))
-    return np.concatenate([g, [d]])
-
-
-def _polish_cusp(m: LocalMap, seed: np.ndarray) -> tuple[np.ndarray, float]:
-    """Sharpen a cusp location by Newton on (z-gradient, Hessian det) = 0."""
-    x = np.array(seed, dtype=float)
-    res = float(np.linalg.norm(_cusp_system(m, x)))
-    for _ in range(60):
-        if res < NEWTON_RESIDUAL:
-            break
-        G = _cusp_system(m, x)
-        J = np.zeros((m.n, m.n))
-        h = 1e-6
-        for j in range(m.n):
-            dx = np.zeros(m.n)
-            dx[j] = h
-            J[:, j] = (_cusp_system(m, x + dx) - _cusp_system(m, x - dx)) / (2 * h)
-        try:
-            step = np.linalg.solve(J, G)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(J, G, rcond=None)[0]
-        scale = 1.0
-        improved = False
-        for _ in range(25):
-            xn = x - scale * step
-            rn = float(np.linalg.norm(_cusp_system(m, xn)))
-            if rn < res:
-                x, res = xn, rn
-                improved = True
-                break
-            scale /= 2
-        if not improved:
-            break
-    return x, res
-
-
 def detect_singular_set(m: LocalMap, grid: GridSpec,
                         tol: float) -> list[SingularSample]:
     """Locate the singular set from grid seeds.
@@ -663,33 +628,51 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
         ok = res < tol
         converged.append(np.column_stack([seeds[ok, 0], z[ok]]))
     kept = _dedup(np.concatenate(converged), DEDUP_RADIUS)
+    H = _z_hess_rows(m, kept[:, 0], kept[:, 1:])
 
     # hunt cusps between neighbors whose Hessian determinant changes sign
-    dets = [float(np.linalg.det(_z_hess(m, float(p[0]), p[1:])))
-            for p in kept]
-    polished: list[np.ndarray] = []
-    for a, b, da, db in zip(kept, kept[1:], dets, dets[1:]):
-        if da == 0.0 or db == 0.0 or (da > 0) == (db > 0):
-            continue
-        cusp, res = _polish_cusp(m, (a + b) / 2)
-        if res < 1e-9:
-            polished.append(cusp)
-    cusp_points = _dedup(np.reshape(polished, (-1, m.n)), DEDUP_RADIUS)
+    dets = np.linalg.det(H)
+    da, db = dets[:-1], dets[1:]
+    flips = (da != 0.0) & (db != 0.0) & ((da > 0) != (db > 0))
 
-    final: list[np.ndarray] = []
-    for p in kept:
-        if all(np.linalg.norm(p - c) > DEDUP_RADIUS for c in cusp_points):
-            final.append(p)
+    def cusp_system(X: np.ndarray) -> np.ndarray:
+        T, Z = X[:, 0], X[:, 1:]
+        return np.column_stack([_z_grad_rows(m, T, Z),
+                                np.linalg.det(_z_hess_rows(m, T, Z))])
 
-    samples: list[SingularSample] = []
-    for p in final:
-        kind, negs = _classify(m, p)
-        samples.append(SingularSample(tuple(float(v) for v in p),
-                                      _full_residual(m, p), kind, negs))
+    def polish_step(X: np.ndarray, G: np.ndarray) -> np.ndarray:
+        # central differences of the extended system
+        h = 1e-6
+        J = np.empty(X.shape + (m.n,))
+        for j, dx in enumerate(np.eye(m.n) * h):
+            J[:, :, j] = (cusp_system(X + dx) - cusp_system(X - dx)) / (2 * h)
+        return _solve_rows(J, G)
+
+    polished, res = _damped_newton(
+        cusp_system, polish_step, (kept[:-1][flips] + kept[1:][flips]) / 2, 60)
+    cusp_points = _dedup(polished[res < 1e-9], DEDUP_RADIUS)
+
+    coarse = np.ones(len(kept), dtype=bool)
     for c in cusp_points:
-        samples.append(SingularSample(tuple(float(v) for v in c),
-                                      _full_residual(m, c),
-                                      "cusp-candidate", None))
+        coarse &= _row_norms(kept - c) > DEDUP_RADIUS
+
+    # classify the coarse samples by their z-Hessian's eigenvalues; the
+    # polished cusps follow them
+    points = np.concatenate([kept[coarse], cusp_points])
+    residuals = _row_norms(_z_grad_rows(m, points[:, 0], points[:, 1:]))
+    eigs = np.linalg.eigvalsh(H[coarse])
+    mags = np.abs(eigs)
+    labels: list[tuple[str, Optional[int]]] = []
+    for e, top, low in zip(eigs, mags.max(axis=1), mags.min(axis=1)):
+        if top < 1e-12:
+            labels.append(("unknown", None))
+        elif low < HESSIAN_RANK_RATIO * top:
+            labels.append(("cusp-candidate", None))
+        else:
+            labels.append(("fold", int(np.sum(e < 0))))
+    labels += [("cusp-candidate", None)] * len(cusp_points)
+    samples = [SingularSample(tuple(p), r, *label) for p, r, label in
+               zip(points.tolist(), residuals.tolist(), labels)]
     samples.sort(key=lambda s: _canonical_key(s.point))
     return samples
 

@@ -1,11 +1,11 @@
-"""Reference oracle for singular-set detection: the per-seed Newton loop.
+"""Reference oracle for singular-set detection: the per-point loops.
 
-This is the scalar algorithm the batched kernel in ``normal_forms`` must
-reproduce bit for bit: the z-gradient and z-Hessian written point by point
-with numpy scalars, one damped Newton iteration per grid seed, and the
-quadratic deduplication.  The cusp polish and classification are shared
-with the package, so ``detect`` differs from ``detect_singular_set`` only
-in the parts the batched kernel replaced.
+This is the scalar algorithm the row-wise detection in ``normal_forms``
+must reproduce bit for bit: the z-gradient and z-Hessian written point by
+point with numpy scalars, one damped Newton iteration per grid seed, the
+quadratic deduplication, one cusp polish per determinant sign change, and
+the classification and residual of each sample on its own.  ``detect``
+shares only the canonical sample order with the package.
 """
 
 from __future__ import annotations
@@ -17,12 +17,20 @@ import numpy as np
 from cuspcobord import normal_forms as nf
 
 
+def quad_signs(m: nf.LocalMap) -> np.ndarray:
+    """Signs of the purely quadratic coordinates: the index negatives
+    first."""
+    k = m.kind
+    count = m.n - 1 if isinstance(k, (nf.Fold, nf.PerturbedFold)) else m.n - 2
+    return np.array([-1.0] * k.index + [1.0] * (count - k.index))
+
+
 def z_grad(m: nf.LocalMap, t: float, z) -> np.ndarray:
     """Second row, z-columns, of the model's Jacobian at (t, z)."""
     p = [float(v) for v in [t, *z]]
     t, rest = p[0], np.asarray(p[1:])
     k = m.kind
-    eps = nf._quad_signs(m)
+    eps = quad_signs(m)
     if isinstance(k, nf.Fold):
         return 2 * eps * rest
     if isinstance(k, nf.Cusp):
@@ -49,7 +57,7 @@ def t_partial(m: nf.LocalMap, t: float, z) -> float:
 
 def z_hess(m: nf.LocalMap, t: float, z: np.ndarray) -> np.ndarray:
     k = m.kind
-    eps = nf._quad_signs(m)
+    eps = quad_signs(m)
     if isinstance(k, nf.Fold):
         return np.diag(2 * eps)
     if isinstance(k, nf.Cusp):
@@ -63,6 +71,60 @@ def z_hess(m: nf.LocalMap, t: float, z: np.ndarray) -> np.ndarray:
     H = np.diag(2 * (eps + a * b1))
     H += 4 * a * b2 * np.outer(z, z)
     return H
+
+
+def residual(m: nf.LocalMap, p: np.ndarray) -> float:
+    return float(np.linalg.norm(z_grad(m, float(p[0]), p[1:])))
+
+
+def classify(m: nf.LocalMap, p: np.ndarray) -> tuple[str, int | None]:
+    eigs = np.linalg.eigvalsh(z_hess(m, float(p[0]), p[1:]))
+    amax = float(np.max(np.abs(eigs)))
+    if amax < 1e-12:
+        return "unknown", None
+    if float(np.min(np.abs(eigs))) < nf.HESSIAN_RANK_RATIO * amax:
+        return "cusp-candidate", None
+    return "fold", int(np.sum(eigs < 0))
+
+
+def cusp_system(m: nf.LocalMap, x: np.ndarray) -> np.ndarray:
+    g = z_grad(m, float(x[0]), x[1:])
+    d = np.linalg.det(z_hess(m, float(x[0]), x[1:]))
+    return np.concatenate([g, [d]])
+
+
+def polish_cusp(m: nf.LocalMap, seed: np.ndarray) -> tuple[np.ndarray, float]:
+    """Sharpen a cusp location by Newton on (z-gradient, Hessian det) = 0,
+    with a central-difference Jacobian."""
+    x = np.array(seed, dtype=float)
+    res = float(np.linalg.norm(cusp_system(m, x)))
+    for _ in range(60):
+        if res < nf.NEWTON_RESIDUAL:
+            break
+        G = cusp_system(m, x)
+        J = np.zeros((m.n, m.n))
+        h = 1e-6
+        for j in range(m.n):
+            dx = np.zeros(m.n)
+            dx[j] = h
+            J[:, j] = (cusp_system(m, x + dx) - cusp_system(m, x - dx)) / (2 * h)
+        try:
+            step = np.linalg.solve(J, G)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(J, G, rcond=None)[0]
+        scale = 1.0
+        improved = False
+        for _ in range(25):
+            xn = x - scale * step
+            rn = float(np.linalg.norm(cusp_system(m, xn)))
+            if rn < res:
+                x, res = xn, rn
+                improved = True
+                break
+            scale /= 2
+        if not improved:
+            break
+    return x, res
 
 
 def newton_z(m: nf.LocalMap, t: float,
@@ -128,22 +190,20 @@ def detect(m: nf.LocalMap, grid: nf.GridSpec, tol: float,
     for a, b, da, db in zip(kept, kept[1:], dets, dets[1:]):
         if da == 0.0 or db == 0.0 or (da > 0) == (db > 0):
             continue
-        cusp, res = nf._polish_cusp(m, (a + b) / 2)
+        cusp, res = polish_cusp(m, (a + b) / 2)
         if res < 1e-9:
             polished.append(cusp)
     cusp_points = dedup(polished, nf.DEDUP_RADIUS)
 
-    def residual(p: np.ndarray) -> float:
-        return float(np.linalg.norm(z_grad(m, float(p[0]), p[1:])))
-
     samples: list[nf.SingularSample] = []
     for p in kept:
         if all(np.linalg.norm(p - c) > nf.DEDUP_RADIUS for c in cusp_points):
-            kind, negs = nf._classify(m, p)
+            kind, negs = classify(m, p)
             samples.append(nf.SingularSample(tuple(float(v) for v in p),
-                                             residual(p), kind, negs))
+                                             residual(m, p), kind, negs))
     for c in cusp_points:
         samples.append(nf.SingularSample(tuple(float(v) for v in c),
-                                         residual(c), "cusp-candidate", None))
+                                         residual(m, c), "cusp-candidate",
+                                         None))
     samples.sort(key=lambda s: nf._canonical_key(s.point))
     return samples

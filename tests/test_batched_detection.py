@@ -20,9 +20,11 @@ def grid(n: int, *lead: tuple) -> nf.GridSpec:
     return nf.GridSpec(tuple(lead) + ((-0.5, 0.5, 3),) * (n - len(lead)))
 
 
-def assert_same_detection(m: nf.LocalMap, g: nf.GridSpec,
-                          tol: float = 1e-9) -> None:
-    """Every seed's Newton run, then the detected samples, are identical."""
+def assert_same_detection(m: nf.LocalMap, g: nf.GridSpec, tol: float = 1e-9,
+                          found: bool = True) -> list[nf.SingularSample]:
+    """Every seed's Newton run, then the detected samples, are identical;
+    the case finds singular points unless ``found`` is false.  Returns the
+    samples."""
     runs = ref.newton_all(m, g)
     seeds = np.concatenate(list(g.blocks(nf.NEWTON_BLOCK)))
     z, res = nf._newton_rows(m, seeds[:, 0], seeds[:, 1:])
@@ -30,9 +32,10 @@ def assert_same_detection(m: nf.LocalMap, g: nf.GridSpec,
     assert res.tolist() == [run[2] for run in runs]
     got = nf.detect_singular_set(m, g, tol)
     want = ref.detect(m, g, tol, runs)
-    assert got, "the case should find singular points"
+    assert bool(got) == found, f"found {len(got)} singular points"
     assert got == want
     assert nf.samples_to_csv(got) == nf.samples_to_csv(want)
+    return got
 
 
 def model_cases() -> list:
@@ -83,8 +86,8 @@ def test_singular_perturbed_fold_hessians_fall_back_row_by_row():
     one = nf.PiecewisePoly((-5.0, 5.0), ((1.0,),))
     ramp = nf.PiecewisePoly((-1.0, 1.0), ((0.0, 1.0),))
     m = nf.LocalMap(3, nf.PerturbedFold(1, one, ramp))
-    assert nf._z_hess(m, 0.0, np.array([0.5, 0.5])).tolist() == [[0.0, 0.0],
-                                                                 [0.0, 4.0]]
+    H = nf._z_hess_rows(m, np.array([0.0]), np.array([[0.5, 0.5]]))[0]
+    assert H.tolist() == [[0.0, 0.0], [0.0, 4.0]]
     assert_same_detection(m, grid(3, (-1.0, 1.0, 3), (-1.5, 1.5, 7),
                                   (-1.5, 1.5, 7)))
 
@@ -96,6 +99,56 @@ def test_seeds_that_run_out_of_iterations():
     flat = nf.PiecewisePoly((-1.0, 1.0), ((0.0, -1.0, 0.0, 1e30 / 3),))
     m = nf.LocalMap(2, nf.PerturbedFold(0, one, flat))
     assert_same_detection(m, grid(2, (-1.0, 1.0, 3), (-0.9, 0.9, 7)))
+
+
+def test_several_cusps_are_polished_in_one_call(monkeypatch):
+    seeds = []
+    damped_newton = nf._damped_newton
+
+    def spy(F, step, X, maxiter):
+        seeds.append(len(X))
+        return damped_newton(F, step, X, maxiter)
+
+    monkeypatch.setattr(nf, "_damped_newton", spy)
+    m = nf.LocalMap(3, nf.SwallowTail(1.0))
+    got = assert_same_detection(m, grid(3, (-1.5, 1.5, 7), (-2.0, 2.0, 9)))
+    assert seeds[-1] >= 2  # the polish runs last, on every seed at once
+    assert sum(s.kind == "cusp-candidate" for s in got) >= 2
+
+
+def test_polish_on_an_exactly_singular_difference_jacobian(monkeypatch):
+    # alpha jumps from 0 to 2 at t = 0 and beta'(r) = -1, so the Hessian
+    # det on the axis z = 0 flips from 2 to -2 between t = -0.5 and t = 0.
+    # At the polish seed t = -0.25 alpha is flat, so the t-column of the
+    # difference Jacobian is exactly zero: the least-squares step is zero,
+    # the residual stays at 2, and the polished point is rejected.
+    alpha = nf.PiecewisePoly((-2.0, 0.0, 2.0), ((0.0,), (2.0,)))
+    beta = nf.PiecewisePoly((-1.0, 1.0), ((0.0, -1.0),))
+    m = nf.LocalMap(2, nf.PerturbedFold(0, alpha, beta))
+    systems = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, rcond=None):
+        systems.append((a.tolist(), b.tolist()))
+        return lstsq(a, b, rcond=rcond)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    got = nf.detect_singular_set(m, grid(2, (-1.0, 0.5, 4)), 1e-9)
+    monkeypatch.undo()
+    assert systems == [([[0.0, 2.0], [0.0, 0.0]], [0.0, 2.0])]
+    assert [s.class_label() for s in got] == ["fold(0)", "fold(0)",
+                                              "fold(1)", "fold(1)"]
+    assert assert_same_detection(m, grid(2, (-1.0, 0.5, 4))) == got
+
+
+def test_a_detection_where_no_seed_converges():
+    # the gradient 2e30 z^5 of test_seeds_that_run_out_of_iterations: off
+    # z = 0 every seed stops above NEWTON_RESIDUAL, so none is accepted
+    one = nf.PiecewisePoly((-5.0, 5.0), ((1.0,),))
+    flat = nf.PiecewisePoly((-1.0, 1.0), ((0.0, -1.0, 0.0, 1e30 / 3),))
+    m = nf.LocalMap(2, nf.PerturbedFold(0, one, flat))
+    g = grid(2, (-1.0, 1.0, 3), (0.3, 0.9, 4))
+    assert_same_detection(m, g, tol=nf.NEWTON_RESIDUAL, found=False)
 
 
 @pytest.mark.parametrize("m", [
@@ -135,7 +188,8 @@ def test_derivatives_match_the_pointwise_formulas(m, rng):
         assert jac[1, 1:].tolist() == ref.z_grad(m, t, z).tolist()
         assert jac[1, 0] == ref.t_partial(m, t, z)
         assert jac[0].tolist() == [1.0] + [0.0] * (m.n - 1)
-        assert nf._z_hess(m, t, z).tolist() == ref.z_hess(m, t, z).tolist()
+        assert (nf._z_hess_rows(m, np.array([t]), np.array([z]))[0].tolist()
+                == ref.z_hess(m, t, z).tolist())
 
 
 def test_vectorised_piecewise_values_match_scalar_calls():

@@ -133,6 +133,13 @@ class TestExitCodes:
         assert main(["trace", "swallowtail", "--t=-0.25", "--csv"]) == 0
         assert capsys.readouterr() == spaced and spaced.err == ""
 
+    def test_negative_grid_after_a_space(self, capsys):
+        grid = "-1:1:3,-1:1:3,-1:1:3"
+        assert main(["trace", "swallowtail", "--grid", grid, "--csv"]) == 0
+        spaced = capsys.readouterr()
+        assert main(["trace", "swallowtail", f"--grid={grid}", "--csv"]) == 0
+        assert capsys.readouterr() == spaced and spaced.err == ""
+
     def test_internal_error_exits_3_with_one_line(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.mv, "replay", lambda trace: trace.initial)
         code = main(["pattern", "normalize",
@@ -344,6 +351,15 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
                  st.sampled_from(["", "x0", "y1", "a0", "c0", "arc", "cusp",
                                   "interval", "circle"]),
                  st.just([]), st.just({}))
+# center:radius:height strings: any floats, or near the accepted range
+# (|center| <= 10 * radius, radius in [1e-3, 1e3], |height| <= 1e3)
+BUMPS = st.one_of(
+    st.none(),
+    st.tuples(st.floats(), st.floats(), st.floats()),
+    st.tuples(st.floats(-12.0, 12.0), st.floats(1e-3, 1e3),
+              st.floats(-1.2e3, 1.2e3)).map(
+        lambda v: (v[0] * v[1], v[1], v[2])),
+).map(lambda v: v and ":".join(repr(x) for x in v))
 
 
 def _nodes(doc, at=()):
@@ -441,6 +457,19 @@ class TestInputContract:
             if value is not None:
                 argv += [flag, repr(value)] if spaced else [
                     f"{flag}={value!r}"]
+        if as_json:
+            argv.append("--json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_contract(*_run(argv, {}), as_json)
+
+    @given(alpha=BUMPS, beta=BUMPS, spaced=st.booleans(),
+           as_json=st.booleans())
+    def test_bump_arguments(self, alpha, beta, spaced, as_json):
+        argv = ["trace", "perturbed-fold", "--n", "2", "--csv"]
+        for flag, value in (("--alpha", alpha), ("--beta", beta)):
+            if value is not None:
+                argv += [flag, value] if spaced else [f"{flag}={value}"]
         if as_json:
             argv.append("--json")
         with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 """Descriptor model: validation laws, reversal, disjoint union, stability."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,18 @@ from cuspcobord import (
     InteriorCriticalPoint,
     MorseDescriptor,
     PreconditionError,
+    chi_plus,
+    cobordism_invariant,
     disjoint_union,
     euler_boundary_sum,
     is_stable,
     reverse,
     validate,
 )
+from cuspcobord import morse
+from cuspcobord.cli import main
 
+from _corpus import REPO_ROOT
 from _enumeration import random_descriptor
 
 import random
@@ -185,3 +191,62 @@ def test_euler_boundary_sum_is_alternating_count(mus):
     even = sum(1 for mu in mus if mu % 2 == 0)
     odd = len(mus) - even
     assert euler_boundary_sum(pts) == even - odd
+
+
+class TestReportPerObject:
+    """The law check runs at most once per descriptor object; its report is
+    kept on the object, and nothing is shared between objects."""
+
+    @pytest.fixture()
+    def runs(self, monkeypatch):
+        seen = []
+        check = morse._check_laws
+
+        def counting(d):
+            seen.append(d)
+            return check(d)
+
+        monkeypatch.setattr(morse, "_check_laws", counting)
+        return seen
+
+    def test_every_question_on_one_object_costs_one_run(self, runs):
+        d = make(2, 1, (bp("x0", 0, 1), bp("x1", 1, -1)))
+        assert chi_plus(d) == 1
+        assert cobordism_invariant(d).value == 0
+        assert validate(d) is validate(d)
+        assert reverse(d) != d
+        assert runs == [d]
+
+    @pytest.mark.parametrize("argv, count", [
+        (["invariant", "fig2.json"], 1),
+        (["extendable", "d3_sigma_pm.json"], 1),
+        (["cobordant", "fig2.json", "fig2_reverse.json"], 2),
+    ])
+    def test_cli_runs_the_laws_once_per_file(self, argv, count, runs,
+                                             capsys):
+        argv = [argv[0]] + [str(REPO_ROOT / "corpus" / a) for a in argv[1:]]
+        assert main(argv) in (0, 1)
+        capsys.readouterr()
+        assert len(runs) == count
+
+    def test_an_equal_but_distinct_object_gets_its_own_run(self, runs):
+        d, e = make(), make()
+        assert d == e and hash(d) == hash(e) and d is not e
+        cobordism_invariant(d)
+        cobordism_invariant(e)
+        assert runs == [d, e] and runs[1] is e
+        assert validate(d) == validate(e)
+
+    def test_the_report_is_not_a_field(self):
+        d = make()
+        before = hash(d)
+        assert validate(d).ok
+        assert hash(d) == before and d == make()
+        assert dataclasses.replace(d, chi_M=0).__dict__.get("_report") is None
+
+    def test_an_invalid_descriptor_is_refused_by_every_question(self, runs):
+        d = make(2, 1, (bp("x0", 0),))
+        for question in (chi_plus, cobordism_invariant, reverse):
+            with pytest.raises(PreconditionError, match="invalid descriptor"):
+                question(d)
+        assert runs == [d]

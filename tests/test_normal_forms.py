@@ -2,6 +2,8 @@
 
 import math
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +91,37 @@ class TestSmoothBump:
     def test_bad_radius_rejected(self):
         with pytest.raises(ValueError):
             smooth_bump(0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("center, radius, height", [
+        (0.0, 1e-3, 1e3), (0.0, 1e3, -1e3), (1e4, 1e3, 1.0),
+        (-10.0, 1.0, 0.4), (0.01, 1e-3, 0.0)])
+    def test_range_corners_are_accepted(self, center, radius, height):
+        assert smooth_bump(center, radius, height).support() == (
+            center - radius, center + radius)
+
+    @pytest.mark.parametrize("center, radius, height, message", [
+        (0.0, 9.99e-4, 1.0, "radius 0.000999 is outside"),
+        (0.0, 1e160, 0.4, "radius 1e+160 is outside"),
+        (0.0, float("nan"), 1.0, "radius nan is outside"),
+        (1000.0, 1.0, 0.2, "center 1000 is outside"),
+        (-10.5, 1.0, 0.2, "center -10.5 is outside"),
+        (float("inf"), 1e3, 1.0, "center inf is outside"),
+        (0.0, 1.0, -1001.0, "height -1001 is outside"),
+        (0.0, 1.0, float("nan"), "height nan is outside")])
+    def test_out_of_range_rejected(self, center, radius, height, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            smooth_bump(center, radius, height)
+
+    def test_pieces_stay_close_to_the_smoothstep_across_the_range(self):
+        # exact smoothstep values in local coordinates, against the pieces
+        # in powers of t, at the widest allowed |center| / radius
+        for center, radius in ((10.0, 1.0), (-1e4, 1e3), (1e-2, 1e-3)):
+            f = smooth_bump(center, radius, 1.0)
+            for t in np.linspace(center - radius, center + radius, 101):
+                u = 1 - abs(Fraction(float(t)) - Fraction(center)) / Fraction(
+                    radius)
+                exact = 10 * u ** 3 - 15 * u ** 4 + 6 * u ** 5
+                assert abs(Fraction(f(float(t))) - exact) < 1e-8
 
 
 class TestModelConstruction:

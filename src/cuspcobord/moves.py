@@ -19,14 +19,21 @@ drivers are built from the atomic moves; a trace records only atomic moves,
 so it replays move by move.
 
 Each public move, driver and ``replay`` validates its (initial) pattern once
-and raises ``PreconditionError`` for an invalid one.  Both moves are local,
-so a valid pattern stays valid when a move's own preconditions hold; inside,
-each move checks only what it touches: the transitions at created cusps,
-equal indices on fused arcs and the re-paired interval ends.
+and raises ``PreconditionError`` for an invalid one.  It then builds one
+working state (``_State``) and runs every move of the call on it.  Both
+moves are local, so a valid pattern stays valid when a move's own
+preconditions hold; inside, each move checks only what it touches: the
+transitions at created cusps, equal indices on fused arcs and the re-paired
+interval ends.  The state indexes every element and names new ones from a
+pool, so a move costs what it touches, not the size of the pattern.  One
+run does at most ``MAX_MOVES`` moves.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import re
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -37,6 +44,7 @@ from .pattern import (
     INTERVAL,
     Component,
     Cusp,
+    Element,
     FoldArc,
     SingularPattern,
     validate_pattern,
@@ -44,7 +52,6 @@ from .pattern import (
 from .pattern import (
     _abutting_arcs,
     _even_ok,
-    _fresh_names,
     _odd_ok,
     _require,
     _transition_ok,
@@ -53,6 +60,7 @@ from .pattern import (
 __all__ = [
     "STAY",
     "SPLIT",
+    "MAX_MOVES",
     "Move",
     "MoveTrace",
     "Obstruction",
@@ -69,6 +77,7 @@ __all__ = [
 
 STAY = "stay"
 SPLIT = "split"
+MAX_MOVES = 10 ** 5  # move budget of one run: a driver call or a replay
 
 
 @dataclass(frozen=True)
@@ -97,64 +106,170 @@ class Obstruction:
     witness: dict
 
 
-def _locate(p: SingularPattern, elem_id: str,
-            kind: type) -> tuple[int, int]:
-    """(component, word position) of the arc or cusp with this id."""
-    for ci, comp in enumerate(p.components):
-        for pos, e in enumerate(comp.sequence):
-            if isinstance(e, kind) and e.id == elem_id:
-                return ci, pos
-    what = "fold arc" if kind is FoldArc else "cusp"
-    raise PreconditionError(f"no {what} with id {elem_id!r}")
+# A generated name is prefix<k> with k in ASCII digits and no leading zero;
+# no other id can equal one.  A pool never reaches 10**18, so longer digit
+# strings are left unread (int() refuses those of over 4300 digits).
+_NUMBERED = re.compile(r"([ac])(0|[1-9][0-9]{0,17})")
 
 
-def _create(p: SingularPattern, arc_id: str, i: int,
-            flip: bool = False) -> tuple[SingularPattern, dict]:
-    n = p.n
+class _NamePool:
+    """The names prefix0, prefix1, ... that no live element holds, handed
+    out smallest first: exactly what ``pattern._fresh_names`` over the live
+    ids would give.
+
+    ``live`` is the run's element index.  Names from ``top`` up are tested
+    against it; ``free`` is a heap of the numbers below ``top`` whose names
+    were released since.
+    """
+
+    def __init__(self, prefix: str, live: dict[str, int]):
+        self.prefix = prefix
+        self.live = live
+        self.free: list[int] = []
+        self.top = 0
+
+    def take(self) -> str:
+        if self.free:
+            k = heapq.heappop(self.free)
+        else:
+            k = self.top
+            while f"{self.prefix}{k}" in self.live:
+                k += 1
+            self.top = k + 1
+        return f"{self.prefix}{k}"
+
+    def release(self, k: int) -> None:
+        if k < self.top:
+            heapq.heappush(self.free, k)
+
+
+class _State:
+    """One run's working copy of a validated pattern, rewritten in place.
+
+    The components sit in ``order`` under stable keys.  ``ids[key]`` lists
+    a component's element ids in word order, so a position is one
+    ``list.index``; ``home`` maps each element id, and ``ends`` each
+    interval endpoint, to its component's key; ``names`` holds the cusp
+    ("c") and arc ("a") name pools.  ``moves`` records every move applied
+    so far.
+    """
+
+    def __init__(self, p: SingularPattern):
+        self.p = p
+        self.n = p.n
+        self.comps: dict[int, Component] = {}
+        self.ids: dict[int, list[str]] = {}
+        self.home: dict[str, int] = {}
+        self.ends: dict[str, int] = {}
+        self.names = {prefix: _NamePool(prefix, self.home)
+                      for prefix in ("c", "a")}
+        self.moves: list[Move] = []
+        self._keys = itertools.count()
+        self.order = [self._add(comp) for comp in p.components]
+
+    def _add(self, comp: Component) -> int:
+        key = next(self._keys)
+        self.comps[key] = comp
+        ids = self.ids[key] = [e.id for e in comp.sequence]
+        self.home.update(dict.fromkeys(ids, key))
+        for x in comp.endpoints or ():
+            self.ends[x] = key
+        return key
+
+    def key_at(self, idx: int) -> int:
+        if not 0 <= idx < len(self.order):
+            raise PreconditionError(f"no component {idx}")
+        return self.order[idx]
+
+    def find(self, eid: str, kind: type) -> tuple[int, int, Element]:
+        """(component key, word position, element) of the arc or cusp with
+        this id."""
+        key = self.home.get(eid)
+        if key is not None:
+            pos = self.ids[key].index(eid)
+            e = self.comps[key].sequence[pos]
+            if isinstance(e, kind):
+                return key, pos, e
+        what = "fold arc" if kind is FoldArc else "cusp"
+        raise PreconditionError(f"no {what} with id {eid!r}")
+
+    def splice(self, key: int, pos: int, new: tuple[Element, ...]) -> None:
+        """Insert freshly named elements after word position pos."""
+        comp = self.comps[key]
+        seq = comp.sequence
+        self.comps[key] = Component(
+            comp.kind, seq[:pos + 1] + new + seq[pos + 1:], comp.endpoints)
+        ids = [e.id for e in new]
+        self.ids[key][pos + 1:pos + 1] = ids
+        self.home.update(dict.fromkeys(ids, key))
+
+    def rewire(self, keys: list[int], comps: list[Component],
+               freed: list[str]) -> list[int]:
+        """Replace the components under ``keys`` (in order) by ``comps``,
+        placed where the first of them stood, which hold every element of
+        the old ones but the ``freed``; their names return to the pools.
+        Returns the new keys."""
+        at = self.order.index(keys[0])
+        for key in keys:
+            self.order.remove(key)
+            del self.comps[key], self.ids[key]
+        new = [self._add(comp) for comp in comps]
+        self.order[at:at] = new
+        for eid in freed:
+            del self.home[eid]
+            m = _NUMBERED.fullmatch(eid)
+            if m:
+                self.names[m[1]].release(int(m[2]))
+        return new
+
+    def pattern(self) -> SingularPattern:
+        # with no move made the pattern is the validated input itself, so
+        # questions asked of it reuse its report
+        if not self.moves:
+            return self.p
+        return replace(self.p, components=tuple(
+            self.comps[key] for key in self.order))
+
+
+def _budget_error() -> PreconditionError:
+    return PreconditionError(
+        f"the rewrite needs more than {MAX_MOVES} moves, the budget of one "
+        f"run")
+
+
+def _create(s: _State, arc_id: str, i: int,
+            flip: bool) -> tuple[str, str, str, Optional[str]]:
+    """Create the pair; returns the ids of the two cusps, the inner arc and
+    the new right arc (None on a bare circle, whose arc is not split)."""
+    n = s.n
     if not 0 <= i <= n - 2:
         raise PreconditionError(f"cusp index i={i} outside [0, {n - 2}]")
-    ci, pos = _locate(p, arc_id, FoldArc)
-    comp = p.components[ci]
-    arc = comp.sequence[pos]
+    key, pos, arc = s.find(arc_id, FoldArc)
     want = max(i, n - 1 - i)
     if arc.tau != want:
         raise PreconditionError(
             f"arc {arc_id!r} has tau={arc.tau}; creating a pair with i={i} "
             f"needs tau={want}")
     inner_tau = max(i + 1, n - 2 - i)
-    used = {e.id for c in p.components for e in c.sequence}
-    cusp_names = _fresh_names(used, "c")
-    arc_names = _fresh_names(used, "a")
     i_first, i_second = (n - 2 - i, i) if flip else (i, n - 2 - i)
-    c1 = Cusp(next(cusp_names), i_first)
-    c2 = Cusp(next(cusp_names), i_second)
-    inner = FoldArc(next(arc_names), inner_tau)
+    names = s.names
+    c1 = Cusp(names["c"].take(), i_first)
+    c2 = Cusp(names["c"].take(), i_second)
+    inner = FoldArc(names["a"].take(), inner_tau)
 
-    if comp.kind == CIRCLE and len(comp.sequence) == 1:
+    if s.comps[key].kind == CIRCLE and len(s.ids[key]) == 1:
         # the remainder of a bare circle is a single arc, so no split
         right = arc
-        seq = (arc, c1, inner, c2)
+        new = (c1, inner, c2)
     else:
-        right = FoldArc(next(arc_names), arc.tau)
-        seq = (comp.sequence[:pos]
-               + (arc, c1, inner, c2, right)
-               + comp.sequence[pos + 1:])
+        right = FoldArc(names["a"].take(), arc.tau)
+        new = (c1, inner, c2, right)
     # the rest of the word is untouched, so these are the only new laws
     assert (_transition_ok(c1, arc, inner, n)
             and _transition_ok(c2, inner, right, n)), \
         "internal: created cusps break the transition rule"
-    new_comp = replace(comp, sequence=seq)
-    comps = p.components[:ci] + (new_comp,) + p.components[ci + 1:]
-    out = replace(p, components=comps)
-    info = {
-        "component": ci,
-        "cusp1": c1.id,
-        "cusp2": c2.id,
-        "inner_arc": inner.id,
-        "left_arc": arc.id,
-        "right_arc": None if right is arc else right.id,
-    }
-    return out, info
+    s.splice(key, pos, new)
+    return c1.id, c2.id, inner.id, None if right is arc else right.id
 
 
 def create_cusp_pair(p: SingularPattern, arc_id: str, i: int,
@@ -166,7 +281,9 @@ def create_cusp_pair(p: SingularPattern, arc_id: str, i: int,
     ends together.
     """
     _require(p)
-    return _create(p, arc_id, i, flip)[0]
+    s = _State(p)
+    _do_create(s, arc_id, i, flip)
+    return s.pattern()
 
 
 @dataclass
@@ -181,16 +298,15 @@ class _Path:
         return _Path(list(reversed(self.elements)), self.right, self.left)
 
 
-def _cut_component(comp: Component, cusp_ids: list[str]) -> list[_Path]:
-    """Remove the named cusps from one component, returning open paths.
+def _cut_component(comp: Component, positions: list[int]) -> list[_Path]:
+    """Remove the cusps at the given (ascending) word positions from one
+    component, returning open paths.
 
     Path ends are labeled ("cut", cusp_id, "L"/"R") at a removed cusp (the
     side names which neighbor of the cusp the end arc was) or
     ("bd", point_id) at an interval endpoint.
     """
     seq = comp.sequence
-    positions = sorted(pos for pos, e in enumerate(seq)
-                       if isinstance(e, Cusp) and e.id in cusp_ids)
     if comp.kind == CIRCLE:
         if len(positions) == 1:
             q = positions[0]
@@ -219,18 +335,22 @@ def _cut_component(comp: Component, cusp_ids: list[str]) -> list[_Path]:
     return paths
 
 
-def _fuse_arcs(a: FoldArc, b: FoldArc) -> FoldArc:
-    if a.tau != b.tau:
-        raise AssertionError(
-            f"internal: fusing arcs {a.id!r} (tau={a.tau}) and {b.id!r} "
-            f"(tau={b.tau}) of unequal index")
-    return FoldArc(min(a.id, b.id), a.tau)
-
-
-def _glue(paths: list[_Path],
-          fusions: list[tuple[tuple, tuple]]) -> tuple[list[Component], list[Component]]:
-    """Apply end fusions; return (open intervals, closed circles)."""
+def _glue(paths: list[_Path], fusions: list[tuple[tuple, tuple]]
+          ) -> tuple[list[Component], list[Component], list[str]]:
+    """Apply end fusions; return (open intervals, closed circles, ids of
+    the arcs fused away)."""
     circles: list[Component] = []
+    dropped: list[str] = []
+
+    def fuse(a: FoldArc, b: FoldArc) -> FoldArc:
+        # two distinct arcs become one, under the smaller id
+        if a.tau != b.tau:
+            raise AssertionError(
+                f"internal: fusing arcs {a.id!r} (tau={a.tau}) and "
+                f"{b.id!r} (tau={b.tau}) of unequal index")
+        keep, drop = sorted((a.id, b.id))
+        dropped.append(drop)
+        return FoldArc(keep, a.tau)
 
     def find(label: tuple) -> _Path:
         for path in paths:
@@ -246,7 +366,7 @@ def _glue(paths: list[_Path],
             if len(elems) == 1:
                 word = tuple(elems)
             else:
-                word = (_fuse_arcs(elems[0], elems[-1]),) + tuple(elems[1:-1])
+                word = (fuse(elems[0], elems[-1]),) + tuple(elems[1:-1])
             circles.append(Component(CIRCLE, word))
             paths.remove(pa)
             continue
@@ -254,7 +374,7 @@ def _glue(paths: list[_Path],
             pa = pa.reversed_()
         if pb.left != lb:
             pb = pb.reversed_()
-        fused = _fuse_arcs(pa.elements[-1], pb.elements[0])
+        fused = fuse(pa.elements[-1], pb.elements[0])
         merged = _Path(pa.elements[:-1] + [fused] + pb.elements[1:],
                        pa.left, pb.right)
         idx = next(k for k, q in enumerate(paths)
@@ -270,49 +390,43 @@ def _glue(paths: list[_Path],
             raise AssertionError("internal: unfused cut end left over")
         intervals.append(Component(INTERVAL, tuple(path.elements),
                                    (path.left[1], path.right[1])))
-    return intervals, circles
+    return intervals, circles, dropped
 
 
-def _fusion_plan(p: SingularPattern, c1_id: str, c2_id: str,
-                 reconnection: str):
-    """Arc pairs and end-label pairs an elimination would fuse."""
-    ci1, pos1 = _locate(p, c1_id, Cusp)
-    ci2, pos2 = _locate(p, c2_id, Cusp)
-    l1, r1 = _abutting_arcs(p.components[ci1], pos1)
-    l2, r2 = _abutting_arcs(p.components[ci2], pos2)
+def _fused_ends(s: _State, at1: tuple, at2: tuple, reconnection: str):
+    """The two end pairs an elimination fuses, each as ((side, arc) at the
+    first cusp, (side, arc) at the second); ``at1``/``at2`` give each
+    cusp's (component key, word position)."""
+    l1, r1 = _abutting_arcs(s.comps[at1[0]], at1[1])
+    l2, r2 = _abutting_arcs(s.comps[at2[0]], at2[1])
     if reconnection == STAY:
-        arc_pairs = ((l1, l2), (r1, r2))
-        label_pairs = [(("cut", c1_id, "L"), ("cut", c2_id, "L")),
-                       (("cut", c1_id, "R"), ("cut", c2_id, "R"))]
-    elif reconnection == SPLIT:
-        arc_pairs = ((l1, r2), (r1, l2))
-        label_pairs = [(("cut", c1_id, "L"), ("cut", c2_id, "R")),
-                       (("cut", c1_id, "R"), ("cut", c2_id, "L"))]
-    else:
-        raise PreconditionError(f"unknown reconnection {reconnection!r}")
-    return (ci1, ci2), arc_pairs, label_pairs
+        return ((("L", l1), ("L", l2)), (("R", r1), ("R", r2)))
+    if reconnection == SPLIT:
+        return ((("L", l1), ("R", r2)), (("R", r1), ("L", l2)))
+    raise PreconditionError(f"unknown reconnection {reconnection!r}")
 
 
 def legal_reconnections(p: SingularPattern, c1_id: str,
                         c2_id: str) -> tuple[str, ...]:
     """Reconnection choices that fuse arcs of equal absolute index only."""
-    out = []
-    for recon in (STAY, SPLIT):
-        _, arc_pairs, _ = _fusion_plan(p, c1_id, c2_id, recon)
-        if all(a.tau == b.tau for a, b in arc_pairs):
-            out.append(recon)
-    return tuple(out)
+    _require(p)
+    s = _State(p)
+    at1 = s.find(c1_id, Cusp)[:2]
+    at2 = s.find(c2_id, Cusp)[:2]
+    return tuple(recon for recon in (STAY, SPLIT)
+                 if all(a.tau == b.tau for (_, a), (_, b)
+                        in _fused_ends(s, at1, at2, recon)))
 
 
-def _eliminate(p: SingularPattern, c1_id: str, c2_id: str,
-               reconnection: str, assume_removable: bool) -> SingularPattern:
+def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
+               assume_removable: bool) -> list[int]:
+    """Eliminate the pair; returns the keys of the components it leaves in
+    place of the ones it cut (intervals first, then circles)."""
     if c1_id == c2_id:
         raise PreconditionError("need two distinct cusps")
-    n = p.n
-    ci1, pos1 = _locate(p, c1_id, Cusp)
-    ci2, pos2 = _locate(p, c2_id, Cusp)
-    cusp1 = p.components[ci1].sequence[pos1]
-    cusp2 = p.components[ci2].sequence[pos2]
+    n = s.n
+    k1, pos1, cusp1 = s.find(c1_id, Cusp)
+    k2, pos2, cusp2 = s.find(c2_id, Cusp)
     if cusp1.normal_index + cusp2.normal_index != n - 2:
         raise PreconditionError(
             f"cusps {c1_id!r} (I={cusp1.normal_index}) and {c2_id!r} "
@@ -320,24 +434,27 @@ def _eliminate(p: SingularPattern, c1_id: str, c2_id: str,
     if n == 2 and not assume_removable:
         raise PreconditionError(
             "eliminations in ambient dimension 2 need assume_removable=True")
-    _, arc_pairs, label_pairs = _fusion_plan(p, c1_id, c2_id, reconnection)
-    for a, b in arc_pairs:
+    fused = _fused_ends(s, (k1, pos1), (k2, pos2), reconnection)
+    for (_, a), (_, b) in fused:
         if a.tau != b.tau:
             raise PreconditionError(
                 f"reconnection {reconnection!r} would fuse arcs "
                 f"{a.id!r} (tau={a.tau}) and {b.id!r} (tau={b.tau}) of "
                 f"unequal index")
 
-    affected = sorted({ci1, ci2})
+    if k1 == k2:
+        cuts = [(k1, sorted((pos1, pos2)))]
+    else:
+        cuts = sorted([(k1, [pos1]), (k2, [pos2])],
+                      key=lambda cut: s.order.index(cut[0]))
     paths: list[_Path] = []
-    for ci in affected:
-        paths.extend(_cut_component(p.components[ci], [c1_id, c2_id]))
-    intervals, circles = _glue(paths, label_pairs)
-    results = tuple(intervals) + tuple(circles)
-    keep = [c for k, c in enumerate(p.components) if k not in affected]
-    at = affected[0]
-    comps = tuple(keep[:at]) + results + tuple(keep[at:])
-    return replace(p, components=comps)
+    for key, positions in cuts:
+        paths.extend(_cut_component(s.comps[key], positions))
+    intervals, circles, dropped = _glue(
+        paths, [(("cut", c1_id, side1), ("cut", c2_id, side2))
+                for (side1, _), (side2, _) in fused])
+    return s.rewire([key for key, _ in cuts], intervals + circles,
+                    [c1_id, c2_id] + dropped)
 
 
 def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
@@ -350,69 +467,83 @@ def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
     dimension 3 on it is automatic.
     """
     _require(p)
-    return _eliminate(p, c1_id, c2_id, reconnection, assume_removable)
+    s = _State(p)
+    _apply(s, Move("eliminate_matching_pair",
+                   {"cusp1": c1_id, "cusp2": c2_id,
+                    "reconnection": reconnection,
+                    "assume_removable": assume_removable}))
+    return s.pattern()
 
 
-# The drivers below apply every atomic move through these two helpers, which
-# record it in ``moves`` from the same arguments.
+def _apply(s: _State, move: Move):
+    """Apply one move to the run's state and record it.  Every move of a
+    run passes through here, so here the run's budget is kept."""
+    if len(s.moves) >= MAX_MOVES:
+        raise _budget_error()
+    s.moves.append(move)
+    k, params = move.kind, move.params
+    if k == "create_cusp_pair":
+        return _create(s, params["arc"], params["i"],
+                       params.get("flip", False))
+    if k == "eliminate_matching_pair":
+        return _eliminate(s, params["cusp1"], params["cusp2"],
+                          params.get("reconnection", STAY),
+                          params.get("assume_removable", False))
+    raise PreconditionError(f"unknown move kind {k!r}")
 
 
-def _do_create(p: SingularPattern, moves: list[Move], arc_id: str, i: int,
-               flip: bool = False) -> tuple[SingularPattern, dict]:
-    moves.append(Move("create_cusp_pair",
-                      {"arc": arc_id, "i": i, "flip": flip}))
-    return _create(p, arc_id, i, flip)
+# The drivers below make every atomic move through these two helpers, which
+# build the recorded move from the same arguments.
 
 
-def _do_eliminate(p: SingularPattern, moves: list[Move], c1_id: str,
-                  c2_id: str, reconnection: str) -> SingularPattern:
+def _do_create(s: _State, arc_id: str, i: int,
+               flip: bool = False) -> tuple[str, str, str, Optional[str]]:
+    return _apply(s, Move("create_cusp_pair",
+                          {"arc": arc_id, "i": i, "flip": flip}))
+
+
+def _do_eliminate(s: _State, c1_id: str, c2_id: str,
+                  reconnection: str) -> list[int]:
     # the drivers authorize their own eliminations in dimension 2
-    assume_removable = p.n == 2
-    moves.append(Move("eliminate_matching_pair",
-                      {"cusp1": c1_id, "cusp2": c2_id,
-                       "reconnection": reconnection,
-                       "assume_removable": assume_removable}))
-    return _eliminate(p, c1_id, c2_id, reconnection, assume_removable)
+    return _apply(s, Move("eliminate_matching_pair",
+                          {"cusp1": c1_id, "cusp2": c2_id,
+                           "reconnection": reconnection,
+                           "assume_removable": s.n == 2}))
 
 
-def _ladder_to(p: SingularPattern, comp_idx: int, target_tau: int,
-               moves: list[Move]) -> SingularPattern:
+def _ladder_to(s: _State, key: int, target_tau: int) -> str:
     """Create pairs on a component until it carries an arc of the target
-    index.  Each step works on its lowest-index arc, pushing one lower."""
-    cur = p
-    n = p.n
-    while True:
-        comp = cur.components[comp_idx]
-        arcs = comp.arcs()
-        if any(a.tau == target_tau for a in arcs):
-            return cur
-        tmin = min(a.tau for a in arcs)
-        if tmin <= target_tau:
-            raise AssertionError("internal: ladder overshot the target index")
-        arc = next(a for a in arcs if a.tau == tmin)
-        cur, _ = _do_create(cur, moves, arc.id, n - 1 - tmin)
+    index, and return the id of the first such arc.
+
+    Each step creates on the lowest-index arc, whose inner arc is then the
+    only arc one index lower; so the ladder follows the inner arcs, and
+    needs exactly (lowest index - target) steps, refused up front when they
+    would overrun the move budget."""
+    arcs = s.comps[key].arcs()
+    hit = next((a for a in arcs if a.tau == target_tau), None)
+    if hit is not None:
+        return hit.id
+    tmin = min(a.tau for a in arcs)
+    if tmin <= target_tau:
+        raise AssertionError("internal: ladder overshot the target index")
+    if len(s.moves) + tmin - target_tau > MAX_MOVES:
+        raise _budget_error()
+    arc_id = next(a for a in arcs if a.tau == tmin).id
+    for tau in range(tmin, target_tau, -1):
+        arc_id = _do_create(s, arc_id, s.n - 1 - tau)[2]
+    return arc_id
 
 
-def _toggle_parity(p: SingularPattern, comp_idx: int,
-                   moves: list[Move]) -> SingularPattern:
-    n = p.n
-    if not 0 <= comp_idx < len(p.components):
-        raise PreconditionError(f"no component {comp_idx}")
-    if p.components[comp_idx].kind != INTERVAL:
-        raise PreconditionError("parity toggle acts on interval components")
-    target = n // 2
-    cur = _ladder_to(p, comp_idx, target, moves)
-
-    comp = cur.components[comp_idx]
-    arc_a = next(a for a in comp.arcs() if a.tau == target)
-    cur, info1 = _do_create(cur, moves, arc_a.id, target - 1)
-    right = info1["right_arc"]
+def _toggle_parity(s: _State, key: int) -> None:
+    target = s.n // 2
+    arc = _ladder_to(s, key, target)
+    c1, _, _, right = _do_create(s, arc, target - 1)
     assert right is not None
-    cur, info2 = _do_create(cur, moves, right, target - 1)
+    d1 = _do_create(s, right, target - 1)[0]
     # both created pairs sit at the exceptional index, so SPLIT is legal;
     # it detaches the circle carrying the middle cusp, leaving one extra
     # cusp on the interval
-    return _do_eliminate(cur, moves, info1["cusp1"], info2["cusp1"], SPLIT)
+    _do_eliminate(s, c1, d1, SPLIT)
 
 
 def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
@@ -422,52 +553,34 @@ def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
     it; total cusp count changes by +2.
     """
     _require(p, parity=0)
-    return _toggle_parity(p, comp_idx, [])
+    s = _State(p)
+    key = s.key_at(comp_idx)
+    if s.comps[key].kind != INTERVAL:
+        raise PreconditionError("parity toggle acts on interval components")
+    _toggle_parity(s, key)
+    return s.pattern()
 
 
-def _endpoint_home(p: SingularPattern, point_id: str) -> int:
-    for ci, comp in enumerate(p.components):
-        if comp.kind == INTERVAL and point_id in comp.endpoints:
-            return ci
-    raise PreconditionError(
-        f"boundary point {point_id!r} is not an interval endpoint")
-
-
-def _merge(p: SingularPattern, idx_a: int, idx_b: int, moves: list[Move],
+def _merge(s: _State, key_a: int, key_b: int,
            endpoint_a: Optional[str] = None,
-           endpoint_b: Optional[str] = None) -> SingularPattern:
-    n = p.n
-    if idx_a == idx_b:
-        raise PreconditionError("need two distinct components")
-    ends = []  # which end of its interval each designated endpoint is
-    for idx, point_id in ((idx_a, endpoint_a), (idx_b, endpoint_b)):
-        if not 0 <= idx < len(p.components):
-            raise PreconditionError(f"no component {idx}")
-        points = p.components[idx].endpoints or ()
-        if point_id is not None and point_id not in points:
-            raise PreconditionError(
-                f"{point_id!r} is not an endpoint of component {idx}")
-        ends.append(0 if point_id is None else points.index(point_id))
+           endpoint_b: Optional[str] = None) -> None:
+    comp_a, comp_b = s.comps[key_a], s.comps[key_b]
+    # which end of its interval each designated endpoint is
+    ends = [0 if x is None else comp.endpoints.index(x)
+            for comp, x in ((comp_a, endpoint_a), (comp_b, endpoint_b))]
     # The elimination cuts A and B at one created cusp each.  Unflipped, the
     # only legal pairing is SPLIT, which joins opposite ends of A and B;
     # flipping B's pair makes it STAY, which joins equal ends.  With a circle
     # any outcome is the merge.
-    flip = (p.components[idx_a].kind == p.components[idx_b].kind == INTERVAL
-            and ends[0] == ends[1])
-    t = (n - 1) // 2
-    cur = _ladder_to(p, idx_a, t, moves)
-    cur = _ladder_to(cur, idx_b, t, moves)
-
-    arc_a = next(a for a in cur.components[idx_a].arcs() if a.tau == t)
-    cur, info_a = _do_create(cur, moves, arc_a.id, t)
-    arc_b = next(a for a in cur.components[idx_b].arcs() if a.tau == t)
-    cur, info_b = _do_create(cur, moves, arc_b.id, t, flip)
-
+    flip = (comp_a.kind == comp_b.kind == INTERVAL and ends[0] == ends[1])
+    t = (s.n - 1) // 2
+    arc_a = _ladder_to(s, key_a, t)
+    arc_b = _ladder_to(s, key_b, t)
+    ca = _do_create(s, arc_a, t)[1]
+    b1, b2, _, _ = _do_create(s, arc_b, t, flip)
     # cross pair with indices summing to n-2: the (t-1)-cusp from a with
     # the t-cusp from b
-    ca = info_a["cusp2"]
-    cb = info_b["cusp2"] if flip else info_b["cusp1"]
-    return _do_eliminate(cur, moves, ca, cb, STAY if flip else SPLIT)
+    _do_eliminate(s, ca, b2 if flip else b1, STAY if flip else SPLIT)
 
 
 def merge_components(p: SingularPattern, idx_a: int, idx_b: int,
@@ -481,7 +594,18 @@ def merge_components(p: SingularPattern, idx_a: int, idx_b: int,
     interval.  Net cusp change is +2 plus whatever index laddering needed.
     """
     _require(p, parity=1)
-    return _merge(p, idx_a, idx_b, [], endpoint_a, endpoint_b)
+    if idx_a == idx_b:
+        raise PreconditionError("need two distinct components")
+    s = _State(p)
+    keys = []
+    for idx, point_id in ((idx_a, endpoint_a), (idx_b, endpoint_b)):
+        keys.append(s.key_at(idx))
+        if point_id is not None and point_id not in (
+                s.comps[keys[-1]].endpoints or ()):
+            raise PreconditionError(
+                f"{point_id!r} is not an endpoint of component {idx}")
+    _merge(s, keys[0], keys[1], endpoint_a, endpoint_b)
+    return s.pattern()
 
 
 def _first_exceptional_cusp(comp: Component, n: int) -> Cusp:
@@ -515,38 +639,34 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
             "rhs_mod2": cp % 2,
         })
 
-    cur = p
-    moves: list[Move] = []
-    while True:
-        bad = next((k for k, comp in enumerate(cur.components)
-                    if comp.kind == INTERVAL and not _even_ok(comp, sigma)),
-                   None)
-        if bad is None:
-            break
-        cur = _toggle_parity(cur, bad, moves)
+    s = _State(p)
+    # a toggle fixes its interval and touches no other, so the failing
+    # intervals are toggled in order, each once
+    for key in [key for key in s.order
+                if s.comps[key].kind == INTERVAL
+                and not _even_ok(s.comps[key], sigma)]:
+        _toggle_parity(s, key)
 
-    while True:
-        odd = [k for k, comp in enumerate(cur.components)
-               if comp.kind == CIRCLE and comp.cusp_count % 2 == 1]
-        if not odd:
-            break
-        assert len(odd) >= 2, "parity bookkeeping leaves odd circles in pairs"
-        i1, i2 = odd[0], odd[1]
-        c1 = _first_exceptional_cusp(cur.components[i1], n)
-        c2 = _first_exceptional_cusp(cur.components[i2], n)
+    # fusing two odd circles leaves one even circle in place of the first,
+    # so the odd circles are fused in order, two by two
+    odd = [key for key in s.order if s.comps[key].kind == CIRCLE
+           and s.comps[key].cusp_count % 2 == 1]
+    assert len(odd) % 2 == 0, "parity bookkeeping leaves odd circles in pairs"
+    for k1, k2 in zip(odd[::2], odd[1::2]):
+        c1 = _first_exceptional_cusp(s.comps[k1], n)
+        c2 = _first_exceptional_cusp(s.comps[k2], n)
         # exceptional cusps abut only arcs of index n/2, so STAY is legal
-        cur = _do_eliminate(cur, moves, c1.id, c2.id, STAY)
+        [fused] = _do_eliminate(s, c1.id, c2.id, STAY)
         if n == 2:
             # dimension 2 admits a stronger rewrite: the fused circle can
             # be made cusp-free outright, two cusps at a time
-            at = min(i1, i2)
-            while cur.components[at].cusp_count:
-                cusps = cur.components[at].cusps()
-                ca, cb = cusps[0], cusps[1]
-                cur = _do_eliminate(cur, moves, ca.id, cb.id, STAY)
+            while s.comps[fused].cusp_count:
+                ca, cb = s.comps[fused].cusps()[:2]
+                [fused] = _do_eliminate(s, ca.id, cb.id, STAY)
 
-    assert all(_even_ok(comp, sigma) for comp in cur.components)
-    return MoveTrace(p, tuple(moves), cur)
+    final = s.pattern()
+    assert all(_even_ok(comp, sigma) for comp in final.components)
+    return MoveTrace(p, tuple(s.moves), final)
 
 
 def normalize_odd(p: SingularPattern,
@@ -571,41 +691,30 @@ def normalize_odd(p: SingularPattern,
 
     plus = sorted(pid for pid, e in eps.items() if e == 1)
     minus = sorted(pid for pid, e in eps.items() if e == -1)
-    cur = p
-    moves: list[Move] = []
+    s = _State(p)
     for x, y in zip(plus, minus):
-        ix = _endpoint_home(cur, x)
-        iy = _endpoint_home(cur, y)
-        if ix == iy:
-            continue
-        cur = _merge(cur, ix, iy, moves, x, y)
+        # a valid pattern ends exactly one interval on each boundary point
+        kx, ky = s.ends[x], s.ends[y]
+        if kx != ky:
+            _merge(s, kx, ky, x, y)
 
-    assert all(_odd_ok(comp, by_id, sigma) for comp in cur.components)
-    return MoveTrace(p, tuple(moves), cur)
-
-
-def _apply(p: SingularPattern, move: Move) -> SingularPattern:
-    k, params = move.kind, move.params
-    if k == "create_cusp_pair":
-        return _create(p, params["arc"], params["i"],
-                       params.get("flip", False))[0]
-    if k == "eliminate_matching_pair":
-        return _eliminate(p, params["cusp1"], params["cusp2"],
-                          params.get("reconnection", STAY),
-                          params.get("assume_removable", False))
-    raise PreconditionError(f"unknown move kind {k!r}")
+    final = s.pattern()
+    assert all(_odd_ok(comp, by_id, sigma) for comp in final.components)
+    return MoveTrace(p, tuple(s.moves), final)
 
 
 def apply_move(p: SingularPattern, move: Move) -> SingularPattern:
     """Replay a single recorded move."""
     _require(p)
-    return _apply(p, move)
+    s = _State(p)
+    _apply(s, move)
+    return s.pattern()
 
 
 def replay(trace: MoveTrace) -> SingularPattern:
     """Re-run a trace from its initial pattern; callers compare to final."""
     validate_pattern(trace.initial).require("initial pattern")
-    cur = trace.initial
+    s = _State(trace.initial)
     for move in trace.moves:
-        cur = _apply(cur, move)
-    return cur
+        _apply(s, move)
+    return s.pattern()

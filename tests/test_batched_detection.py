@@ -141,6 +141,26 @@ def test_polish_on_an_exactly_singular_difference_jacobian(monkeypatch):
     assert assert_same_detection(m, grid(2, (-1.0, 0.5, 4))) == got
 
 
+def test_a_cusp_polish_that_takes_all_60_iterations():
+    # alpha = 1 - t^3 and beta'(r) = -1: on the axis z = 0 the Hessian det
+    # is 2 t^3, flipping between the samples at t = -1e3 and t = 1e7.  From
+    # their midpoint the polish is Newton in t on 2 t^3, which shrinks t by
+    # 2/3 per step: after 60 steps t is 1.4e-4, and the residual 2 t^3 is
+    # 5e-12, still above NEWTON_RESIDUAL but below the 1e-9 that keeps the
+    # cusp.  Stopping after 59 steps would leave t at 2.0e-4.
+    alpha = nf.PiecewisePoly((-1e8, 1e8), ((1.0, 0.0, 0.0, -1.0),))
+    beta = nf.PiecewisePoly((-1.0, 1.0), ((0.0, -1.0),))
+    m = nf.LocalMap(2, nf.PerturbedFold(0, alpha, beta))
+    got = assert_same_detection(m, grid(2, (-1e3, 1e7, 2)))
+    seed = np.array([(1e7 - 1e3) / 2, 0.0])
+    polished, res = ref.polish_cusp(m, seed)
+    assert nf.NEWTON_RESIDUAL < res < 1e-9
+    assert polished[0] == pytest.approx(seed[0] * (2 / 3) ** 60, rel=1e-3)
+    assert [(s.point, s.kind) for s in got] == [
+        ((-1e3, 0.0), "fold"), ((polished[0], 0.0), "cusp-candidate"),
+        ((1e7, 0.0), "fold")]
+
+
 def test_a_detection_where_no_seed_converges():
     # the gradient 2e30 z^5 of test_seeds_that_run_out_of_iterations: off
     # z = 0 every seed stops above NEWTON_RESIDUAL, so none is accepted

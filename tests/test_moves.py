@@ -422,6 +422,7 @@ PUBLIC_ENTRY_POINTS = {
     "create_cusp_pair": lambda: create_cusp_pair(BAD_ODD, "a1", 1),
     "eliminate_matching_pair":
         lambda: eliminate_matching_pair(BAD_ODD, "c0", "c1", SPLIT),
+    "legal_reconnections": lambda: legal_reconnections(BAD_ODD, "c0", "c1"),
     "toggle_parity": lambda: toggle_parity(BAD_EVEN, 0),
     "merge_components": lambda: merge_components(BAD_ODD, 0, 1),
     "apply_move": lambda: apply_move(BAD_ODD, CREATE_A1),
@@ -499,8 +500,9 @@ class TestValidationContract:
                                (n - 1) // 2, (n - 1) // 2)))
         x = p.components[0].endpoints[end_a]
         y = p.components[1].endpoints[end_b]
-        recorded = []
-        q = mv._merge(p, 0, 1, recorded, x, y)
+        state = mv._State(p)
+        mv._merge(state, *state.order, x, y)
+        q, recorded = state.pattern(), state.moves
         assert validate_pattern(q).ok
         homes = {e: k for k, comp in enumerate(q.components)
                  for e in comp.endpoints or ()}

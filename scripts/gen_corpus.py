@@ -11,19 +11,15 @@ repository root:
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-import os
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from _corpus import run_command  # noqa: E402
 from cuspcobord import generator, reverse  # noqa: E402
-from cuspcobord.cli import main  # noqa: E402
 from cuspcobord.morse import MorseDescriptor  # noqa: E402
 from cuspcobord.serialize import descriptor_to_json  # noqa: E402
 
@@ -191,34 +187,21 @@ COMMANDS = [
 ]
 
 
-def run_command(spec: dict, tmp: str) -> tuple[int, str, dict[str, str]]:
-    """Run one manifest entry in-process; returns exit, stdout, out files."""
-    argv = [a.replace("{tmp}", tmp) for a in spec["argv"]]
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(argv)
-    stdout = buf.getvalue().replace(tmp, "{tmp}")
-    outs = {}
-    for placeholder in spec.get("out_golden", {}):
-        path = placeholder.replace("{tmp}", tmp)
-        with open(path, "r", encoding="utf-8") as fh:
-            outs[placeholder] = fh.read()
-    return code, stdout, outs
-
-
 def write_golden() -> None:
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    os.chdir(ROOT)
     for spec in COMMANDS:
-        with tempfile.TemporaryDirectory() as tmp:
-            code, stdout, outs = run_command(spec, tmp)
+        out_golden = spec.get("out_golden", {})
+        code, stdout, outs = run_command(spec["argv"], out_golden)
         if code != spec["exit"]:
             raise SystemExit(
                 f"command {spec['argv']} exited {code}, "
                 f"manifest says {spec['exit']}")
         with open(GOLDEN / spec["golden"], "w", encoding="utf-8") as fh:
             fh.write(stdout)
-        for placeholder, name in spec.get("out_golden", {}).items():
+        for placeholder, name in out_golden.items():
+            if outs[placeholder] is None:
+                raise SystemExit(
+                    f"command {spec['argv']} wrote no {placeholder}")
             with open(GOLDEN / name, "w", encoding="utf-8") as fh:
                 fh.write(outs[placeholder])
     _dump(CORPUS / "commands.json", COMMANDS)

@@ -20,7 +20,8 @@ import json
 import math
 import re
 import sys
-from typing import Any, Optional
+from fractions import Fraction
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -59,18 +60,43 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _emit(lines: list[tuple[str, Any]], payload: dict, as_json: bool) -> None:
+def _json_text(obj: Any) -> str:
+    """The tool's one JSON encoding, for stdout and for written files."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _json_value(value: Any) -> Any:
+    # exact rationals travel as strings, and JSON has no NaN
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    return value
+
+
+def _emit(fields: list[tuple[str, Any]], as_json: bool,
+          text: Sequence[tuple[str, Any]] = (), extra: Optional[dict] = None,
+          out: Optional[str] = None) -> None:
+    """Print one report from its ordered ``fields``.
+
+    As text: the fields as ``key=value`` lines, then the text-only lines
+    ``text``, then ``out=`` naming the file the command wrote, if any.
+    Under ``--json``: one object of the fields and ``out``, updated with
+    the JSON-only entries ``extra`` (which may replace a field's value).
+    """
+    tail = [("out", out)] if out else []
     if as_json:
-        print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False))
+        obj = {key: _json_value(value) for key, value in fields + tail}
+        obj.update(extra or {})
+        print(_json_text(obj))
     else:
-        for key, value in lines:
+        for key, value in [*fields, *text, *tail]:
             print(f"{key}={_fmt(value)}")
 
 
 def _write_json_file(path: str, obj: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(_json_text(obj) + "\n")
 
 
 def _load_valid_descriptor(path: str):
@@ -85,11 +111,9 @@ def _load_valid_descriptor(path: str):
 
 def _cmd_invariant(args) -> int:
     d = _load_valid_descriptor(args.file)
-    cp = chi_plus(d)
     cls = cobordism_invariant(d)
-    lines = [("n", d.n), ("chi_M", d.chi_M), ("chi_plus", cp),
-             ("invariant", cls.value), ("group", cls.group)]
-    _emit(lines, dict(lines), args.json)
+    _emit([("n", d.n), ("chi_M", d.chi_M), ("chi_plus", chi_plus(d)),
+           ("invariant", cls.value), ("group", cls.group)], args.json)
     return 0
 
 
@@ -97,11 +121,9 @@ def _cmd_cobordant(args) -> int:
     d1 = _load_valid_descriptor(args.file_a)
     d2 = _load_valid_descriptor(args.file_b)
     same = is_cobordant(d1, d2)
-    i1 = cobordism_invariant(d1)
-    i2 = cobordism_invariant(d2)
-    lines = [("n", d1.n), ("invariant_a", i1.value),
-             ("invariant_b", i2.value), ("cobordant", same)]
-    _emit(lines, dict(lines), args.json)
+    _emit([("n", d1.n), ("invariant_a", cobordism_invariant(d1).value),
+           ("invariant_b", cobordism_invariant(d2).value),
+           ("cobordant", same)], args.json)
     return 0 if same else 1
 
 
@@ -109,11 +131,9 @@ def _cmd_extendable(args) -> int:
     d = _load_valid_descriptor(args.file)
     sigma = SignAssignment.from_points(d.boundary)
     ok = morse_van_schaack(d.n, d.chi_M, d.boundary, sigma)
-    cls = cobordism_invariant(d)
-    lines = [("n", d.n), ("chi_M", d.chi_M), ("chi_plus", chi_plus(d)),
-             ("invariant", cls.value),
-             ("necessary_condition", "pass" if ok else "fail")]
-    _emit(lines, dict(lines), args.json)
+    _emit([("n", d.n), ("chi_M", d.chi_M), ("chi_plus", chi_plus(d)),
+           ("invariant", cobordism_invariant(d).value),
+           ("necessary_condition", "pass" if ok else "fail")], args.json)
     return 0 if ok else 1
 
 
@@ -131,21 +151,20 @@ def _cmd_pattern(args) -> int:
     p = serialize.pattern_from_json(_read_json(args.file))
     if args.action == "validate":
         report = pat.validate_pattern(p)
-        payload = {
-            "valid": report.ok,
-            "violations": [{"code": v.code, "message": v.message}
-                           for v in report.violations],
-            "components": len(p.components),
-            "cusps": p.total_cusps,
-        }
-        lines = [("valid", report.ok)] + [
-            ("violation", f"{v.code}: {v.message}")
-            for v in report.violations]
+        counts = [("components", len(p.components)),
+                  ("cusps", p.total_cusps)]
+        fields: list[tuple[str, Any]] = [("valid", report.ok)]
+        extra = {"violations": [{"code": v.code, "message": v.message}
+                                for v in report.violations]}
         if report.ok:
-            lines += [("components", len(p.components)),
-                      ("cusps", p.total_cusps),
-                      ("boundary_points", len(p.boundary_points))]
-        _emit(lines, payload, args.json)
+            fields += counts
+            text = [("boundary_points", len(p.boundary_points))]
+        else:
+            # the text of an invalid pattern lists its violations instead
+            extra.update(counts)
+            text = [("violation", f"{v.code}: {v.message}")
+                    for v in report.violations]
+        _emit(fields, args.json, text, extra)
         return 0 if report.ok else 1
 
     sigma = _require_sigma_file(args)
@@ -153,37 +172,26 @@ def _cmd_pattern(args) -> int:
         vf = pat.vector_field_exists(p, sigma)
         flags = (pat.check_condition_even(p, sigma) if p.n % 2 == 0
                  else pat.check_condition_odd(p, sigma))
-        lines: list[tuple[str, Any]] = [("n", p.n), ("vector_field", vf)]
-        comp_payload = []
-        for k, (comp, ok) in enumerate(zip(p.components, flags)):
-            comp_payload.append({"kind": comp.kind,
-                                 "cusps": comp.cusp_count,
-                                 "condition": ok})
-        payload: dict[str, Any] = {"n": p.n, "vector_field": vf,
-                                   "components": comp_payload}
-        if p.n % 2 == 0:
-            if args.chi_v is not None:
-                parity = pat.cusp_parity_check(p, args.chi_v)
-                lines.append(("cusp_parity", "pass" if parity else "fail"))
-                payload["cusp_parity"] = parity
-                if parity:
-                    lhs, rhs = pat.aggregate_even(p, sigma, args.chi_v)
-                    lines.append(("aggregate_lhs", lhs))
-                    lines.append(("aggregate_rhs", rhs))
-                    payload["aggregate_lhs"] = lhs
-                    payload["aggregate_rhs"] = rhs
-        else:
-            lhs, rhs = pat.aggregate_odd(p, sigma)
-            lines.append(("aggregate_lhs", lhs))
-            lines.append(("aggregate_rhs", rhs))
-            payload["aggregate_lhs"] = str(lhs)
-            payload["aggregate_rhs"] = str(rhs)
-        for k, item in enumerate(comp_payload):
-            verdict = "pass" if item["condition"] else "fail"
-            lines.append(("component", f"{k} kind={item['kind']} "
-                                       f"cusps={item['cusps']} "
-                                       f"condition={verdict}"))
-        _emit(lines, payload, args.json)
+        fields = [("n", p.n), ("vector_field", vf)]
+        extra = {"components": [
+            {"kind": comp.kind, "cusps": comp.cusp_count, "condition": ok}
+            for comp, ok in zip(p.components, flags)]}
+        aggregate = None
+        if p.n % 2 == 1:
+            aggregate = pat.aggregate_odd(p, sigma)
+        elif args.chi_v is not None:
+            parity = pat.cusp_parity_check(p, args.chi_v)
+            fields.append(("cusp_parity", "pass" if parity else "fail"))
+            extra["cusp_parity"] = parity
+            if parity:
+                aggregate = pat.aggregate_even(p, sigma, args.chi_v)
+        if aggregate is not None:
+            fields += zip(("aggregate_lhs", "aggregate_rhs"), aggregate)
+        text = [("component", f"{k} kind={item['kind']} "
+                              f"cusps={item['cusps']} condition="
+                              f"{'pass' if item['condition'] else 'fail'}")
+                for k, item in enumerate(extra["components"])]
+        _emit(fields, args.json, text, extra)
         return 0 if vf else 1
 
     assert args.action == "normalize"
@@ -196,34 +204,25 @@ def _cmd_pattern(args) -> int:
         result = mv.normalize_odd(p, sigma)
 
     if isinstance(result, mv.Obstruction):
-        ob_json = serialize.obstruction_to_json(result)
-        lines = [("status", "obstruction"), ("kind", result.kind)] + [
+        doc = serialize.obstruction_to_json(result)
+        fields = [("status", "obstruction")]
+        text = [("kind", result.kind)] + [
             (f"witness.{key}", result.witness[key])
             for key in sorted(result.witness)]
-        if args.out:
-            _write_json_file(args.out, ob_json)
-            lines.append(("out", args.out))
-        _emit(lines, {"status": "obstruction", "obstruction": ob_json},
-              args.json)
-        return 1
-
-    replayed = mv.replay(result)
-    if replayed != result.final:
-        raise AssertionError("trace replay mismatch")
-    trace_json = serialize.trace_to_json(result)
-    final = result.final
-    lines = [("status", "normalized"), ("moves", len(result.moves)),
-             ("components", len(final.components)),
-             ("cusps", final.total_cusps)]
-    payload = dict(lines)
-    if args.out:
-        _write_json_file(args.out, trace_json)
-        lines.append(("out", args.out))
-        payload["out"] = args.out
+        extra = {"obstruction": doc}
     else:
-        payload["trace"] = trace_json
-    _emit(lines, payload, args.json)
-    return 0
+        if mv.replay(result) != result.final:
+            raise AssertionError("trace replay mismatch")
+        doc = serialize.trace_to_json(result)
+        fields = [("status", "normalized"), ("moves", len(result.moves)),
+                  ("components", len(result.final.components)),
+                  ("cusps", result.final.total_cusps)]
+        text = []
+        extra = {} if args.out else {"trace": doc}
+    if args.out:
+        _write_json_file(args.out, doc)
+    _emit(fields, args.json, text, extra, args.out)
+    return 1 if isinstance(result, mv.Obstruction) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +244,7 @@ def _cmd_trace(args) -> int:
     kind = args.kind
     n = args.n
     tol = args.tol
-    payload: dict[str, Any] = {"kind": kind, "n": n, "tol": tol}
-    lines: list[tuple[str, Any]] = [("kind", kind), ("n", n)]
+    fields: list[tuple[str, Any]] = [("kind", kind), ("n", n)]
 
     if kind == "perturbed-fold":
         alpha = _parse_bump(args.alpha, "--alpha")
@@ -254,8 +252,7 @@ def _cmd_trace(args) -> int:
         model = nf.PerturbedFold(args.i, alpha, beta)
     elif kind == "swallowtail":
         model = nf.SwallowTail(args.t)
-        payload["t"] = args.t
-        lines.append(("t", args.t))
+        fields.append(("t", args.t))
     elif kind == "fold":
         model = nf.Fold(args.i)
     else:
@@ -263,84 +260,64 @@ def _cmd_trace(args) -> int:
     m = nf.LocalMap(n, model)
     grid = nf.GridSpec.parse(args.grid) if args.grid else nf.default_grid(m)
 
+    # the singular-value curve to render, and its cusp markers
     if kind == "perturbed-fold":
         report = nf.perturbed_fold_image(args.i, n, alpha, beta, tol=tol,
                                          grid=grid)
         samples = report.detected
         beta0 = beta(0.0)
         lo, hi = alpha.support()
-        ts = np.linspace(lo - 1.0, hi + 1.0, 401)
-        curve = nf.PlanarCurve(tuple((float(t), float(alpha(float(t)) * beta0))
-                                     for t in ts))
+        points = [(float(t), float(alpha(float(t)) * beta0))
+                  for t in np.linspace(lo - 1.0, hi + 1.0, 401)]
         markers: list[tuple[float, float]] = []
-        lines += [("sup_product", report.sup_product),
-                  ("samples", report.samples),
-                  ("max_axis_distance", report.max_axis_distance),
-                  ("max_image_error", report.max_image_error),
-                  ("ok", report.ok)]
-        payload.update({"sup_product": report.sup_product,
-                        "samples": report.samples,
-                        "max_axis_distance": report.max_axis_distance,
-                        "max_image_error": report.max_image_error,
-                        "ok": report.ok})
+        fields += [("sup_product", report.sup_product),
+                   ("samples", report.samples),
+                   ("max_axis_distance", report.max_axis_distance),
+                   ("max_image_error", report.max_image_error),
+                   ("ok", report.ok)]
     else:
         samples = nf.detect_singular_set(m, grid, tol=tol)
         cusps = [s for s in samples if s.kind == "cusp-candidate"]
-        lines.append(("samples", len(samples)))
-        lines.append(("cusps", len(cusps)))
-        payload["samples"] = len(samples)
-        payload["cusps"] = len(cusps)
-
+        fields += [("samples", len(samples)), ("cusps", len(cusps))]
         markers = [nf.evaluate(m, s.point) for s in cusps]
         if kind == "swallowtail":
-            curve_obj = nf.swallow_tail_singular_curve(args.t, n)
+            curve = nf.swallow_tail_singular_curve(args.t, n)
             if samples:
                 xs = [s.point[1] for s in samples]
                 xlo, xhi = min(xs), max(xs)
                 pad = 0.1 * (xhi - xlo or 1.0)
                 xlo, xhi = xlo - pad, xhi + pad
-                dist = max(curve_obj.distance_bound(s.point) for s in samples)
+                dist = max(curve.distance_bound(s.point) for s in samples)
             else:
                 xlo, xhi, dist = -2.0, 2.0, float("nan")
-            sweep = np.linspace(xlo, xhi, 401)
-            curve = nf.PlanarCurve(tuple(curve_obj.image_point(float(x))
-                                         for x in sweep))
-            lines.append(("max_curve_distance", dist))
-            # undefined without samples; JSON has no NaN
-            payload["max_curve_distance"] = dist if samples else None
+            points = [curve.image_point(float(x))
+                      for x in np.linspace(xlo, xhi, 401)]
+            fields.append(("max_curve_distance", dist))
         elif kind == "fold":
             ts = [s.point[0] for s in samples] or [-1.0, 1.0]
-            curve = nf.PlanarCurve(((min(ts), 0.0), (max(ts), 0.0)))
+            points = [(min(ts), 0.0), (max(ts), 0.0)]
         else:  # cusp
             xs = [s.point[1] for s in samples] or [-1.0, 1.0]
-            xlo, xhi = min(xs), max(xs)
-            sweep = np.linspace(xlo, xhi, 401)
-            pts = []
-            for x in sweep:
-                point = (-3.0 * float(x) ** 2, float(x)) + (0.0,) * (n - 2)
-                pts.append(nf.evaluate(m, point))
-            curve = nf.PlanarCurve(tuple(pts))
+            points = [nf.evaluate(m, (-3.0 * float(x) ** 2, float(x))
+                                  + (0.0,) * (n - 2))
+                      for x in np.linspace(min(xs), max(xs), 401)]
 
     if args.csv:
         artifact = nf.samples_to_csv(samples)
-        payload["format"] = "csv"
     else:
-        artifact = nf.render_svg([nf.PlanarCurve(curve.points,
+        artifact = nf.render_svg([nf.PlanarCurve(tuple(points),
                                                  tuple(markers))])
-        payload["format"] = "svg"
-    payload["grid"] = [list(axis) for axis in grid.axes]
-
+    extra = {"tol": tol, "format": "csv" if args.csv else "svg",
+             "grid": [list(axis) for axis in grid.axes]}
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(artifact)
-        lines.append(("out", args.out))
-        payload["out"] = args.out
-        _emit(lines, payload, args.json)
     elif args.json:
-        payload["content"] = artifact
-        _emit([], payload, True)
+        extra["content"] = artifact
     else:
         sys.stdout.write(artifact)
+        return 0
+    _emit(fields, args.json, extra=extra, out=args.out)
     return 0
 
 

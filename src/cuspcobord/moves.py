@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
+from collections.abc import Container
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -114,15 +115,14 @@ _NUMBERED = re.compile(r"([ac])(0|[1-9][0-9]{0,17})")
 
 class _NamePool:
     """The names prefix0, prefix1, ... that no live element holds, handed
-    out smallest first: exactly what ``pattern._fresh_names`` over the live
-    ids would give.
+    out smallest first: exactly what a rescan of the live ids would give.
 
-    ``live`` is the run's element index.  Names from ``top`` up are tested
-    against it; ``free`` is a heap of the numbers below ``top`` whose names
-    were released since.
+    ``live`` holds the live ids (a run's element index).  Names from
+    ``top`` up are tested against it; ``free`` is a heap of the numbers
+    below ``top`` whose names were released since.
     """
 
-    def __init__(self, prefix: str, live: dict[str, int]):
+    def __init__(self, prefix: str, live: Container[str]):
         self.prefix = prefix
         self.live = live
         self.free: list[int] = []
@@ -237,10 +237,19 @@ def _budget_error() -> PreconditionError:
         f"run")
 
 
+def _record(s: _State, kind: str, params: dict) -> None:
+    """Record one atomic move of the run.  Both moves record themselves
+    here, so here the run's budget is kept."""
+    if len(s.moves) >= MAX_MOVES:
+        raise _budget_error()
+    s.moves.append(Move(kind, params))
+
+
 def _create(s: _State, arc_id: str, i: int,
-            flip: bool) -> tuple[str, str, str, Optional[str]]:
+            flip: bool = False) -> tuple[str, str, str, Optional[str]]:
     """Create the pair; returns the ids of the two cusps, the inner arc and
     the new right arc (None on a bare circle, whose arc is not split)."""
+    _record(s, "create_cusp_pair", {"arc": arc_id, "i": i, "flip": flip})
     n = s.n
     if not 0 <= i <= n - 2:
         raise PreconditionError(f"cusp index i={i} outside [0, {n - 2}]")
@@ -282,7 +291,7 @@ def create_cusp_pair(p: SingularPattern, arc_id: str, i: int,
     """
     _require(p)
     s = _State(p)
-    _do_create(s, arc_id, i, flip)
+    _create(s, arc_id, i, flip)
     return s.pattern()
 
 
@@ -421,7 +430,11 @@ def legal_reconnections(p: SingularPattern, c1_id: str,
 def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
                assume_removable: bool) -> list[int]:
     """Eliminate the pair; returns the keys of the components it leaves in
-    place of the ones it cut (intervals first, then circles)."""
+    place of the ones it cut (intervals first, then circles).  The drivers
+    vouch for removability in dimension 2 themselves (``s.n == 2``)."""
+    _record(s, "eliminate_matching_pair",
+            {"cusp1": c1_id, "cusp2": c2_id, "reconnection": reconnection,
+             "assume_removable": assume_removable})
     if c1_id == c2_id:
         raise PreconditionError("need two distinct cusps")
     n = s.n
@@ -468,19 +481,12 @@ def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
     """
     _require(p)
     s = _State(p)
-    _apply(s, Move("eliminate_matching_pair",
-                   {"cusp1": c1_id, "cusp2": c2_id,
-                    "reconnection": reconnection,
-                    "assume_removable": assume_removable}))
+    _eliminate(s, c1_id, c2_id, reconnection, assume_removable)
     return s.pattern()
 
 
 def _apply(s: _State, move: Move):
-    """Apply one move to the run's state and record it.  Every move of a
-    run passes through here, so here the run's budget is kept."""
-    if len(s.moves) >= MAX_MOVES:
-        raise _budget_error()
-    s.moves.append(move)
+    """Replay one recorded move on the run's state."""
     k, params = move.kind, move.params
     if k == "create_cusp_pair":
         return _create(s, params["arc"], params["i"],
@@ -490,25 +496,6 @@ def _apply(s: _State, move: Move):
                           params.get("reconnection", STAY),
                           params.get("assume_removable", False))
     raise PreconditionError(f"unknown move kind {k!r}")
-
-
-# The drivers below make every atomic move through these two helpers, which
-# build the recorded move from the same arguments.
-
-
-def _do_create(s: _State, arc_id: str, i: int,
-               flip: bool = False) -> tuple[str, str, str, Optional[str]]:
-    return _apply(s, Move("create_cusp_pair",
-                          {"arc": arc_id, "i": i, "flip": flip}))
-
-
-def _do_eliminate(s: _State, c1_id: str, c2_id: str,
-                  reconnection: str) -> list[int]:
-    # the drivers authorize their own eliminations in dimension 2
-    return _apply(s, Move("eliminate_matching_pair",
-                          {"cusp1": c1_id, "cusp2": c2_id,
-                           "reconnection": reconnection,
-                           "assume_removable": s.n == 2}))
 
 
 def _ladder_to(s: _State, key: int, target_tau: int) -> str:
@@ -530,20 +517,20 @@ def _ladder_to(s: _State, key: int, target_tau: int) -> str:
         raise _budget_error()
     arc_id = next(a for a in arcs if a.tau == tmin).id
     for tau in range(tmin, target_tau, -1):
-        arc_id = _do_create(s, arc_id, s.n - 1 - tau)[2]
+        arc_id = _create(s, arc_id, s.n - 1 - tau)[2]
     return arc_id
 
 
 def _toggle_parity(s: _State, key: int) -> None:
     target = s.n // 2
     arc = _ladder_to(s, key, target)
-    c1, _, _, right = _do_create(s, arc, target - 1)
+    c1, _, _, right = _create(s, arc, target - 1)
     assert right is not None
-    d1 = _do_create(s, right, target - 1)[0]
+    d1 = _create(s, right, target - 1)[0]
     # both created pairs sit at the exceptional index, so SPLIT is legal;
     # it detaches the circle carrying the middle cusp, leaving one extra
     # cusp on the interval
-    _do_eliminate(s, c1, d1, SPLIT)
+    _eliminate(s, c1, d1, SPLIT, s.n == 2)
 
 
 def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
@@ -576,11 +563,11 @@ def _merge(s: _State, key_a: int, key_b: int,
     t = (s.n - 1) // 2
     arc_a = _ladder_to(s, key_a, t)
     arc_b = _ladder_to(s, key_b, t)
-    ca = _do_create(s, arc_a, t)[1]
-    b1, b2, _, _ = _do_create(s, arc_b, t, flip)
+    ca = _create(s, arc_a, t)[1]
+    b1, b2, _, _ = _create(s, arc_b, t, flip)
     # cross pair with indices summing to n-2: the (t-1)-cusp from a with
     # the t-cusp from b
-    _do_eliminate(s, ca, b2 if flip else b1, STAY if flip else SPLIT)
+    _eliminate(s, ca, b2 if flip else b1, STAY if flip else SPLIT, s.n == 2)
 
 
 def merge_components(p: SingularPattern, idx_a: int, idx_b: int,
@@ -656,13 +643,13 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
         c1 = _first_exceptional_cusp(s.comps[k1], n)
         c2 = _first_exceptional_cusp(s.comps[k2], n)
         # exceptional cusps abut only arcs of index n/2, so STAY is legal
-        [fused] = _do_eliminate(s, c1.id, c2.id, STAY)
+        [fused] = _eliminate(s, c1.id, c2.id, STAY, s.n == 2)
         if n == 2:
             # dimension 2 admits a stronger rewrite: the fused circle can
             # be made cusp-free outright, two cusps at a time
             while s.comps[fused].cusp_count:
                 ca, cb = s.comps[fused].cusps()[:2]
-                [fused] = _do_eliminate(s, ca.id, cb.id, STAY)
+                [fused] = _eliminate(s, ca.id, cb.id, STAY, s.n == 2)
 
     final = s.pattern()
     assert all(_even_ok(comp, sigma) for comp in final.components)

@@ -297,18 +297,6 @@ def _check_laws(p: SingularPattern) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _fresh_names(used: set[str], prefix: str):
-    """Names prefix0, prefix1, ... not in ``used``, smallest first; each name
-    handed out is added to ``used``."""
-    k = 0
-    while True:
-        cand = f"{prefix}{k}"
-        k += 1
-        if cand not in used:
-            used.add(cand)
-            yield cand
-
-
 def _require(p: SingularPattern, sigma: Optional[SignAssignment] = None,
              parity: Optional[int] = None,
              chi_V: Optional[int] = None) -> None:

@@ -8,6 +8,7 @@ precision is lost in transit.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
@@ -18,7 +19,7 @@ from .morse import (
     InteriorCriticalPoint,
     MorseDescriptor,
 )
-from .moves import Move, MoveTrace, Obstruction
+from .moves import Move, MoveTrace, Obstruction, _NamePool
 from .pattern import (
     CIRCLE,
     INTERVAL,
@@ -26,7 +27,6 @@ from .pattern import (
     Cusp,
     FoldArc,
     SingularPattern,
-    _fresh_names,
 )
 
 __all__ = [
@@ -83,12 +83,21 @@ def _expect_list(obj: Any, where: str) -> list:
     return obj
 
 
+# the form str(Fraction) takes; Fraction() alone would also read decimal
+# exponents, and "1e10000000" builds a ten-million-digit integer
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _fraction_from_json(obj: Any, where: str) -> Fraction:
     if isinstance(obj, bool):
         raise SchemaError(f"{where}: expected an exact rational, got {obj!r}")
     if isinstance(obj, int):
         return Fraction(obj)
     if isinstance(obj, str):
+        if not _RATIONAL.fullmatch(obj):
+            raise SchemaError(
+                f"{where}: bad rational {obj!r}: expected an integer or "
+                f"'p/q' string")
         try:
             return Fraction(obj)
         except (ValueError, ZeroDivisionError) as exc:
@@ -262,18 +271,17 @@ def pattern_from_json(obj: Any) -> SingularPattern:
                 explicit.add(items[-1][2])
         parsed.append((kind, endpoints, items))
 
-    arc_names = _fresh_names(set(explicit), "a")
-    cusp_names = _fresh_names(set(explicit), "c")
+    names = {prefix: _NamePool(prefix, explicit) for prefix in ("a", "c")}
     components = []
     for kind, endpoints, items in parsed:
         seq: list = []
         for what, value, eid in items:
             if what == "arc":
-                seq.append(FoldArc(eid if eid is not None else next(arc_names),
-                                   value))
+                seq.append(FoldArc(eid if eid is not None
+                                   else names["a"].take(), value))
             else:
-                seq.append(Cusp(eid if eid is not None else next(cusp_names),
-                                value))
+                seq.append(Cusp(eid if eid is not None
+                                else names["c"].take(), value))
         try:
             components.append(Component(kind, tuple(seq), endpoints))
         except ValueError as exc:

@@ -1,4 +1,5 @@
-"""Replay corpus/commands.json entries in-process for the CLI suites."""
+"""Run corpus/commands.json entries in-process: for the CLI suites, the
+corpus replay and the corpus generator alike."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 from cuspcobord.cli import main
 
@@ -18,33 +20,40 @@ def load_manifest() -> list[dict]:
         return json.load(fh)
 
 
+def run_command(argv: list[str], out_files=()
+                ) -> tuple[int, str, dict[str, Optional[str]]]:
+    """Run one manifest argv in a fresh scratch directory for its "{tmp}"
+    placeholders.  Returns the exit code, stdout with the directory written
+    back as "{tmp}", and the text of each of ``out_files`` (placeholder
+    paths; None for a file the command did not write)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([str(REPO_ROOT / a) if a.startswith("corpus/")
+                         else a.replace("{tmp}", tmp) for a in argv])
+        outs = {}
+        for placeholder in out_files:
+            path = Path(placeholder.replace("{tmp}", tmp))
+            outs[placeholder] = (path.read_text(encoding="utf-8")
+                                 if path.exists() else None)
+    return code, buf.getvalue().replace(tmp, "{tmp}"), outs
+
+
 def run_entry(spec: dict) -> list[str]:
     """Run one manifest entry; return mismatch descriptions (empty = ok)."""
     problems: list[str] = []
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = [
-            str(REPO_ROOT / a) if a.startswith("corpus/")
-            else a.replace("{tmp}", tmp)
-            for a in spec["argv"]
-        ]
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(argv)
-        stdout = buf.getvalue().replace(tmp, "{tmp}")
-        if code != spec["exit"]:
-            problems.append(f"exit {code} != expected {spec['exit']}")
-        golden = (REPO_ROOT / "golden" / spec["golden"]).read_text(
-            encoding="utf-8")
-        if stdout != golden:
-            problems.append(f"stdout differs from golden/{spec['golden']}")
-        for placeholder, name in spec.get("out_golden", {}).items():
-            path = Path(placeholder.replace("{tmp}", tmp))
-            if not path.exists():
-                problems.append(f"missing output file {placeholder}")
-                continue
-            produced = path.read_text(encoding="utf-8")
-            expected = (REPO_ROOT / "golden" / name).read_text(
-                encoding="utf-8")
-            if produced != expected:
-                problems.append(f"artifact differs from golden/{name}")
+    out_golden = spec.get("out_golden", {})
+    code, stdout, outs = run_command(spec["argv"], out_golden)
+    if code != spec["exit"]:
+        problems.append(f"exit {code} != expected {spec['exit']}")
+    golden = (REPO_ROOT / "golden" / spec["golden"]).read_text(
+        encoding="utf-8")
+    if stdout != golden:
+        problems.append(f"stdout differs from golden/{spec['golden']}")
+    for placeholder, name in out_golden.items():
+        expected = (REPO_ROOT / "golden" / name).read_text(encoding="utf-8")
+        if outs[placeholder] is None:
+            problems.append(f"missing output file {placeholder}")
+        elif outs[placeholder] != expected:
+            problems.append(f"artifact differs from golden/{name}")
     return problems

@@ -4,9 +4,10 @@ This is the per-move algorithm the indexed engine in ``moves`` must
 reproduce exactly: every move locates its elements by scanning the whole
 pattern, collects the set of all live ids to name what it creates, and
 returns a new frozen pattern; the drivers rescan every component after each
-step.  It shares only the data types, the pattern laws and
-``pattern._fresh_names`` with the package, so the traces, finals and
-obstructions of both can be compared byte for byte.
+step.  It shares only the data types and the pattern laws with the
+package, so the traces, finals and obstructions of both can be compared
+byte for byte; ``_fresh_names`` is also the oracle for the package's pool
+of free names.
 """
 
 from __future__ import annotations
@@ -29,11 +30,22 @@ from cuspcobord.pattern import (
 from cuspcobord.pattern import (
     _abutting_arcs,
     _even_ok,
-    _fresh_names,
     _odd_ok,
     _require,
     _transition_ok,
 )
+
+
+def _fresh_names(used: set[str], prefix: str):
+    """Names prefix0, prefix1, ... not in ``used``, smallest first; each name
+    handed out is added to ``used``."""
+    k = 0
+    while True:
+        cand = f"{prefix}{k}"
+        k += 1
+        if cand not in used:
+            used.add(cand)
+            yield cand
 
 
 def _locate(p: SingularPattern, elem_id: str,

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import tempfile
+import time
 import warnings
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from cuspcobord import cli
 from cuspcobord.cli import main
 
-from _corpus import REPO_ROOT, load_manifest, run_entry
+from _corpus import REPO_ROOT, load_manifest, run_command, run_entry
 
 MANIFEST = load_manifest()
 
@@ -24,6 +25,42 @@ MANIFEST = load_manifest()
 def test_corpus_command_matches_golden(spec):
     problems = run_entry(spec)
     assert not problems, problems
+
+
+# The keys whose text is not _fmt of their JSON value: a verdict that is
+# pass/fail in text and a bool in JSON, and a distance that is nan in text
+# and null in JSON when no sample was found.
+_TEXT_FORM = {
+    "cusp_parity": lambda v: "pass" if v else "fail",
+    "max_curve_distance": lambda v: "nan" if v is None else cli._fmt(v),
+}
+_AGREEMENT_ARGV = [spec["argv"] for spec in MANIFEST] + [
+    ["trace", "swallowtail", "--tol", "1e-300", "--grid",
+     "0.5:0.5:1,0.3:0.3:1,0:0:1", "--out", "{tmp}/st.svg"],
+    ["pattern", "normalize", "corpus/interval_0cusp.json", "--sigma",
+     "corpus/sigma_pp.json", "--chi-v", "1", "--out", "{tmp}/ob.json"],
+]
+
+
+@pytest.mark.parametrize("argv", _AGREEMENT_ARGV,
+                         ids=[" ".join(a) for a in _AGREEMENT_ARGV])
+def test_text_and_json_reports_agree(argv):
+    argv = [a for a in argv if a != "--json"]
+    code, text, _ = run_command(argv)
+    json_code, json_text, _ = run_command(argv + ["--json"])
+    assert code == json_code
+    payload = json.loads(json_text)
+    if "content" in payload:
+        # without --out the text output is the artifact itself
+        assert payload["content"] == text
+        return
+    shared = 0
+    for line in text.splitlines():
+        key, value = line.split("=", 1)
+        if key in payload:
+            assert value == _TEXT_FORM.get(key, cli._fmt)(payload[key]), key
+            shared += 1
+    assert shared
 
 
 class TestExitCodes:
@@ -150,6 +187,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == (
             "error: internal: AssertionError: trace replay mismatch\n")
+
+    def test_exponent_rational_is_refused_at_once(self, tmp_path, capsys):
+        # Fraction() alone reads "1e10000000" as a ten-million-digit integer
+        f = tmp_path / "d.json"
+        f.write_text(json.dumps({
+            "n": 2, "oriented": True, "chi_M": 1, "chi_boundary": 0,
+            "interior": [{"id": "p0", "index": 2, "value": "1e10000000"}],
+            "boundary": [{"id": "x0", "mu": 0, "sigma": 1},
+                         {"id": "x1", "mu": 1, "sigma": 1}]}))
+        start = time.perf_counter()
+        assert main(["invariant", str(f)]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: descriptor.interior[0].value: ")
 
     def test_check_requires_sigma(self, capsys):
         pat = str(REPO_ROOT / "corpus" / "interval_0cusp.json")
@@ -319,6 +371,22 @@ class TestPatternJson:
             "obstruction": {"kind": "parity_mismatch",
                             "witness": {"chi_V": 1, "chi_plus": 2,
                                         "lhs_mod2": 1, "rhs_mod2": 0}}}
+
+
+    def test_normalize_obstruction_with_out(self, tmp_path, capsys):
+        out = str(tmp_path / "obstruction.json")
+        code, payload = self.run(capsys, "normalize",
+                                 _corpus("interval_0cusp.json"), "--sigma",
+                                 _corpus("sigma_pp.json"), "--chi-v", "1",
+                                 "--out", out)
+        assert code == 1
+        obstruction = {"kind": "parity_mismatch",
+                       "witness": {"chi_V": 1, "chi_plus": 2,
+                                   "lhs_mod2": 1, "rhs_mod2": 0}}
+        assert payload == {"status": "obstruction",
+                           "obstruction": obstruction, "out": out}
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh) == obstruction
 
 
 class TestArtifacts:

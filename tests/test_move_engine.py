@@ -19,7 +19,6 @@ from cuspcobord.pattern import (
     Cusp,
     FoldArc,
     SingularPattern,
-    _fresh_names,
     validate_pattern,
 )
 from cuspcobord.serialize import (
@@ -32,6 +31,7 @@ from cuspcobord.serialize import (
 )
 
 import _moves_reference as ref
+from _moves_reference import _fresh_names
 from _corpus import REPO_ROOT
 from _enumeration import build_pattern, patterns_up_to, sign_assignments
 from _walk import legal_creates, legal_eliminations

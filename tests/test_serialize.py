@@ -53,6 +53,28 @@ class TestDescriptor:
         with pytest.raises(SchemaError):
             descriptor_from_json(obj)
 
+    @staticmethod
+    def _with_value(value):
+        return {"n": 2, "oriented": True, "chi_M": 1, "chi_boundary": 0,
+                "interior": [{"id": "p0", "index": 2, "value": value}],
+                "boundary": []}
+
+    @pytest.mark.parametrize("text, value", [
+        ("-3/4", Fraction(-3, 4)), ("7", Fraction(7)), ("-0", Fraction(0)),
+        ("4/6", Fraction(2, 3))])
+    def test_written_rational_form_is_read(self, text, value):
+        d = descriptor_from_json(self._with_value(text))
+        assert d.interior[0].value == value
+
+    @pytest.mark.parametrize("text", [
+        "1e10000000", "0.5", "1/2e3", "1E2", " 1/3", "1/3 ", "1/3\n", "+1",
+        "1_000", "\u0663", "1/", "/3", "-1/-3", "1/0", "", "nan",
+        "1" * 5000])
+    def test_other_strings_are_refused(self, text):
+        with pytest.raises(SchemaError, match=r"descriptor\.interior\[0\]"
+                                              r"\.value: bad rational"):
+            descriptor_from_json(self._with_value(text))
+
     def test_unknown_keys_rejected(self):
         obj = {"n": 2, "oriented": True, "chi_M": 1, "chi_boundary": 0,
                "interior": [], "boundary": [], "extra": 1}

@@ -260,16 +260,11 @@ def _cmd_trace(args) -> int:
     m = nf.LocalMap(n, model)
     grid = nf.GridSpec.parse(args.grid) if args.grid else nf.default_grid(m)
 
-    # the singular-value curve to render, and its cusp markers
     if kind == "perturbed-fold":
         report = nf.perturbed_fold_image(args.i, n, alpha, beta, tol=tol,
                                          grid=grid)
         samples = report.detected
-        beta0 = beta(0.0)
-        lo, hi = alpha.support()
-        points = [(float(t), float(alpha(float(t)) * beta0))
-                  for t in np.linspace(lo - 1.0, hi + 1.0, 401)]
-        markers: list[tuple[float, float]] = []
+        cusps = []
         fields += [("sup_product", report.sup_product),
                    ("samples", report.samples),
                    ("max_axis_distance", report.max_axis_distance),
@@ -279,20 +274,27 @@ def _cmd_trace(args) -> int:
         samples = nf.detect_singular_set(m, grid, tol=tol)
         cusps = [s for s in samples if s.kind == "cusp-candidate"]
         fields += [("samples", len(samples)), ("cusps", len(cusps))]
-        markers = [nf.evaluate(m, s.point) for s in cusps]
-        if kind == "swallowtail":
-            curve = nf.swallow_tail_singular_curve(args.t, n)
-            if samples:
-                xs = [s.point[1] for s in samples]
-                xlo, xhi = min(xs), max(xs)
-                pad = 0.1 * (xhi - xlo or 1.0)
-                xlo, xhi = xlo - pad, xhi + pad
-                dist = max(curve.distance_bound(s.point) for s in samples)
-            else:
-                xlo, xhi, dist = -2.0, 2.0, float("nan")
+    if kind == "swallowtail":
+        curve = nf.swallow_tail_singular_curve(args.t, n)
+        fields.append(("max_curve_distance", max(
+            (curve.distance_bound(s.point) for s in samples),
+            default=float("nan"))))
+
+    if args.csv:
+        artifact = nf.samples_to_csv(samples)
+    else:
+        # the singular-value curve to draw, and its cusp markers
+        if kind == "perturbed-fold":
+            beta0 = beta(0.0)
+            lo, hi = alpha.support()
+            points = [(float(t), float(alpha(float(t)) * beta0))
+                      for t in np.linspace(lo - 1.0, hi + 1.0, 401)]
+        elif kind == "swallowtail":
+            xs = [s.point[1] for s in samples]
+            pad = 0.1 * (max(xs) - min(xs) or 1.0) if xs else 0.0
+            xlo, xhi = (min(xs) - pad, max(xs) + pad) if xs else (-2.0, 2.0)
             points = [curve.image_point(float(x))
                       for x in np.linspace(xlo, xhi, 401)]
-            fields.append(("max_curve_distance", dist))
         elif kind == "fold":
             ts = [s.point[0] for s in samples] or [-1.0, 1.0]
             points = [(min(ts), 0.0), (max(ts), 0.0)]
@@ -301,12 +303,8 @@ def _cmd_trace(args) -> int:
             points = [nf.evaluate(m, (-3.0 * float(x) ** 2, float(x))
                                   + (0.0,) * (n - 2))
                       for x in np.linspace(min(xs), max(xs), 401)]
-
-    if args.csv:
-        artifact = nf.samples_to_csv(samples)
-    else:
-        artifact = nf.render_svg([nf.PlanarCurve(tuple(points),
-                                                 tuple(markers))])
+        markers = tuple(nf.evaluate(m, s.point) for s in cusps)
+        artifact = nf.render_svg([nf.PlanarCurve(tuple(points), markers)])
     extra = {"tol": tol, "format": "csv" if args.csv else "svg",
              "grid": [list(axis) for axis in grid.axes]}
     if args.out:

@@ -106,7 +106,7 @@ def _require_domain(boundary: tuple[BoundaryCriticalPoint, ...],
                     sigma: SignAssignment) -> None:
     """Raise unless the assignment covers exactly the given points."""
     ids = {p.id for p in boundary}
-    if sigma.domain() != ids:
+    if sigma.entries.keys() != ids:
         missing = sorted(ids - sigma.domain())
         extra = sorted(sigma.domain() - ids)
         raise PreconditionError(

@@ -103,7 +103,7 @@ class ValidationReport:
 
     def require(self, what: str) -> None:
         """Raise PreconditionError naming every violation, if there is one."""
-        if not self.ok:
+        if self.violations:
             raise PreconditionError(
                 f"invalid {what}: "
                 + "; ".join(v.message for v in self.violations))
@@ -234,7 +234,7 @@ def reverse(d: MorseDescriptor) -> MorseDescriptor:
         for p in d.boundary)
     return MorseDescriptor(
         n=d.n,
-        oriented=not d.oriented,
+        oriented=d.oriented,
         chi_M=d.chi_M,
         chi_boundary=(-1) ** (d.n - 1) * d.chi_boundary,
         interior=interior,

@@ -24,18 +24,29 @@ working state (``_State``) and runs every move of the call on it.  Both
 moves are local, so a valid pattern stays valid when a move's own
 preconditions hold; inside, each move checks only what it touches: the
 transitions at created cusps, equal indices on fused arcs and the re-paired
-interval ends.  The state indexes every element and names new ones from a
-pool, so a move costs what it touches, not the size of the pattern.  One
-run does at most ``MAX_MOVES`` moves.
+interval ends.  One run does at most ``MAX_MOVES`` moves.
+
+The state holds each component as a mutable word (``_Word``): a list of
+its elements, a parallel list of their ids, its kind and its endpoints.
+An index maps every element id and interval endpoint to its word, and two
+pools hand out fresh names.  ``Component`` tuples are built when the run
+ends, for the words a move touched.  A word alternates arc, cusp, arc,
+..., so it carries ``len // 2`` cusps and its arcs are the slice ``[::2]``.
+A creation finds its arc, inserts three or four elements into the word's
+lists and indexes them; it leaves a position hint at the inner arc it made,
+the arc a ladder (or its replay) names next, so that lookup needs no
+search, and only the insert (a memmove of the word's tail) grows with the
+word.  An elimination cuts its one or two words at the two cusps into
+plain lists, glues their ends through a dict from end label to path, and
+indexes the words it made: time linear in the words it cuts.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import re
 from collections.abc import Container
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import PreconditionError
@@ -130,105 +141,130 @@ class _NamePool:
 
     def take(self) -> str:
         if self.free:
-            k = heapq.heappop(self.free)
-        else:
-            k = self.top
-            while f"{self.prefix}{k}" in self.live:
-                k += 1
-            self.top = k + 1
-        return f"{self.prefix}{k}"
+            return f"{self.prefix}{heapq.heappop(self.free)}"
+        k = self.top
+        name = f"{self.prefix}{k}"
+        while name in self.live:
+            k += 1
+            name = f"{self.prefix}{k}"
+        self.top = k + 1
+        return name
 
     def release(self, k: int) -> None:
         if k < self.top:
             heapq.heappush(self.free, k)
 
 
+class _Word:
+    """One component inside a run: ``sequence`` lists its arcs and cusps as
+    a ``Component``'s does, ``ids`` their ids at the same positions, and
+    ``hint`` the position to try first when looking up an id.  ``comp`` is
+    the ``Component`` the word stands for until a move touches it.  Like a
+    ``Component`` it answers ``kind``, ``endpoints`` and ``cusp_count``, so
+    the pattern's per-component laws apply to it."""
+
+    __slots__ = ("kind", "sequence", "ids", "endpoints", "hint", "comp")
+
+    def __init__(self, kind: str, sequence: list, endpoints, comp=None):
+        self.kind = kind
+        self.sequence = sequence
+        self.ids = [e.id for e in sequence]
+        self.endpoints = endpoints
+        self.hint = 0
+        self.comp = comp
+
+    @property
+    def cusp_count(self) -> int:
+        return len(self.sequence) // 2
+
+
 class _State:
     """One run's working copy of a validated pattern, rewritten in place.
 
-    The components sit in ``order`` under stable keys.  ``ids[key]`` lists
-    a component's element ids in word order, so a position is one
-    ``list.index``; ``home`` maps each element id, and ``ends`` each
-    interval endpoint, to its component's key; ``names`` holds the cusp
-    ("c") and arc ("a") name pools.  ``moves`` records every move applied
-    so far.
+    ``order`` lists the components' words.  ``home`` maps each element id,
+    and ``ends`` each interval endpoint, to its word; ``names`` holds the
+    cusp ("c") and arc ("a") name pools.  ``moves`` records every move
+    applied so far.
     """
 
     def __init__(self, p: SingularPattern):
         self.p = p
         self.n = p.n
-        self.comps: dict[int, Component] = {}
-        self.ids: dict[int, list[str]] = {}
-        self.home: dict[str, int] = {}
-        self.ends: dict[str, int] = {}
-        self.names = {prefix: _NamePool(prefix, self.home)
-                      for prefix in ("c", "a")}
+        self.order = [_Word(comp.kind, list(comp.sequence), comp.endpoints,
+                            comp) for comp in p.components]
+        self.home: dict[str, _Word] = {}
+        self.ends: dict[str, _Word] = {}
+        self._index(self.order)
+        self.names = {"c": _NamePool("c", self.home),
+                      "a": _NamePool("a", self.home)}
         self.moves: list[Move] = []
-        self._keys = itertools.count()
-        self.order = [self._add(comp) for comp in p.components]
 
-    def _add(self, comp: Component) -> int:
-        key = next(self._keys)
-        self.comps[key] = comp
-        ids = self.ids[key] = [e.id for e in comp.sequence]
-        self.home.update(dict.fromkeys(ids, key))
-        for x in comp.endpoints or ():
-            self.ends[x] = key
-        return key
+    def _index(self, words: list[_Word]) -> None:
+        home, ends = self.home, self.ends
+        for w in words:
+            for eid in w.ids:
+                home[eid] = w
+            if w.endpoints:
+                ends.update(dict.fromkeys(w.endpoints, w))
 
-    def key_at(self, idx: int) -> int:
+    def word_at(self, idx: int) -> _Word:
         if not 0 <= idx < len(self.order):
             raise PreconditionError(f"no component {idx}")
         return self.order[idx]
 
-    def find(self, eid: str, kind: type) -> tuple[int, int, Element]:
-        """(component key, word position, element) of the arc or cusp with
-        this id."""
-        key = self.home.get(eid)
-        if key is not None:
-            pos = self.ids[key].index(eid)
-            e = self.comps[key].sequence[pos]
+    def find(self, eid: str, kind: type) -> tuple[_Word, int, Element]:
+        """(word, position, element) of the arc or cusp with this id."""
+        w = self.home.get(eid)
+        if w is not None:
+            pos = w.hint
+            if pos >= len(w.ids) or w.ids[pos] != eid:
+                pos = w.ids.index(eid)
+            e = w.sequence[pos]
             if isinstance(e, kind):
-                return key, pos, e
+                return w, pos, e
         what = "fold arc" if kind is FoldArc else "cusp"
         raise PreconditionError(f"no {what} with id {eid!r}")
 
-    def splice(self, key: int, pos: int, new: tuple[Element, ...]) -> None:
-        """Insert freshly named elements after word position pos."""
-        comp = self.comps[key]
-        seq = comp.sequence
-        self.comps[key] = Component(
-            comp.kind, seq[:pos + 1] + new + seq[pos + 1:], comp.endpoints)
+    def splice(self, w: _Word, pos: int, new: tuple[Element, ...]) -> None:
+        """Insert freshly named elements (cusp, inner arc, ...) after word
+        position pos, and hint at the inner arc."""
         ids = [e.id for e in new]
-        self.ids[key][pos + 1:pos + 1] = ids
-        self.home.update(dict.fromkeys(ids, key))
+        w.sequence[pos + 1:pos + 1] = new
+        w.ids[pos + 1:pos + 1] = ids
+        w.hint = pos + 2
+        w.comp = None
+        for eid in ids:
+            self.home[eid] = w
 
-    def rewire(self, keys: list[int], comps: list[Component],
-               freed: list[str]) -> list[int]:
-        """Replace the components under ``keys`` (in order) by ``comps``,
-        placed where the first of them stood, which hold every element of
-        the old ones but the ``freed``; their names return to the pools.
-        Returns the new keys."""
-        at = self.order.index(keys[0])
-        for key in keys:
-            self.order.remove(key)
-            del self.comps[key], self.ids[key]
-        new = [self._add(comp) for comp in comps]
-        self.order[at:at] = new
+    def rewire(self, old: list[_Word], new: list[tuple],
+               freed: list[str]) -> list[_Word]:
+        """Replace the words ``old`` by new words (kind, elements,
+        endpoints) where the first old one stood, and return them.  They
+        hold every old element but the ``freed``, whose names return to
+        the pools."""
+        order = self.order
+        at = order.index(old[0])
+        for w in old:
+            order.remove(w)
+        words = [_Word(*spec) for spec in new]
+        order[at:at] = words
+        self._index(words)
         for eid in freed:
             del self.home[eid]
             m = _NUMBERED.fullmatch(eid)
             if m:
                 self.names[m[1]].release(int(m[2]))
-        return new
+        return words
 
     def pattern(self) -> SingularPattern:
         # with no move made the pattern is the validated input itself, so
         # questions asked of it reuse its report
+        p = self.p
         if not self.moves:
-            return self.p
-        return replace(self.p, components=tuple(
-            self.comps[key] for key in self.order))
+            return p
+        return SingularPattern(p.n, tuple(
+            w.comp or Component(w.kind, tuple(w.sequence), w.endpoints)
+            for w in self.order), p.boundary_points, p.chi_ambient)
 
 
 def _budget_error() -> PreconditionError:
@@ -237,47 +273,47 @@ def _budget_error() -> PreconditionError:
         f"run")
 
 
-def _record(s: _State, kind: str, params: dict) -> None:
+def _record(s: _State, move: Move) -> None:
     """Record one atomic move of the run.  Both moves record themselves
     here, so here the run's budget is kept."""
     if len(s.moves) >= MAX_MOVES:
         raise _budget_error()
-    s.moves.append(Move(kind, params))
+    s.moves.append(move)
 
 
-def _create(s: _State, arc_id: str, i: int,
-            flip: bool = False) -> tuple[str, str, str, Optional[str]]:
+def _create(s: _State, arc_id: str, i: int, flip: bool = False,
+            move: Optional[Move] = None
+            ) -> tuple[str, str, str, Optional[str]]:
     """Create the pair; returns the ids of the two cusps, the inner arc and
-    the new right arc (None on a bare circle, whose arc is not split)."""
-    _record(s, "create_cusp_pair", {"arc": arc_id, "i": i, "flip": flip})
+    the new right arc (None on a bare circle, whose arc is not split).  A
+    replayed ``move`` is recorded as given."""
+    _record(s, move or Move("create_cusp_pair",
+                            {"arc": arc_id, "i": i, "flip": flip}))
     n = s.n
     if not 0 <= i <= n - 2:
         raise PreconditionError(f"cusp index i={i} outside [0, {n - 2}]")
-    key, pos, arc = s.find(arc_id, FoldArc)
+    w, pos, arc = s.find(arc_id, FoldArc)
     want = max(i, n - 1 - i)
     if arc.tau != want:
         raise PreconditionError(
             f"arc {arc_id!r} has tau={arc.tau}; creating a pair with i={i} "
             f"needs tau={want}")
-    inner_tau = max(i + 1, n - 2 - i)
-    i_first, i_second = (n - 2 - i, i) if flip else (i, n - 2 - i)
-    names = s.names
-    c1 = Cusp(names["c"].take(), i_first)
-    c2 = Cusp(names["c"].take(), i_second)
-    inner = FoldArc(names["a"].take(), inner_tau)
-
-    if s.comps[key].kind == CIRCLE and len(s.ids[key]) == 1:
+    cusps, arcs = s.names["c"], s.names["a"]
+    c1 = Cusp(cusps.take(), n - 2 - i if flip else i)
+    c2 = Cusp(cusps.take(), i if flip else n - 2 - i)
+    inner = FoldArc(arcs.take(), max(i + 1, n - 2 - i))
+    if w.kind == CIRCLE and len(w.ids) == 1:
         # the remainder of a bare circle is a single arc, so no split
         right = arc
         new = (c1, inner, c2)
     else:
-        right = FoldArc(names["a"].take(), arc.tau)
+        right = FoldArc(arcs.take(), want)
         new = (c1, inner, c2, right)
     # the rest of the word is untouched, so these are the only new laws
     assert (_transition_ok(c1, arc, inner, n)
             and _transition_ok(c2, inner, right, n)), \
         "internal: created cusps break the transition rule"
-    s.splice(key, pos, new)
+    s.splice(w, pos, new)
     return c1.id, c2.id, inner.id, None if right is arc else right.id
 
 
@@ -295,119 +331,85 @@ def create_cusp_pair(p: SingularPattern, arc_id: str, i: int,
     return s.pattern()
 
 
-@dataclass
-class _Path:
-    """Open run of elements between cut points and/or boundary endpoints."""
-
-    elements: list
-    left: tuple
-    right: tuple
-
-    def reversed_(self) -> "_Path":
-        return _Path(list(reversed(self.elements)), self.right, self.left)
-
-
-def _cut_component(comp: Component, positions: list[int]) -> list[_Path]:
-    """Remove the cusps at the given (ascending) word positions from one
-    component, returning open paths.
-
-    Path ends are labeled ("cut", cusp_id, "L"/"R") at a removed cusp (the
-    side names which neighbor of the cusp the end arc was) or
-    ("bd", point_id) at an interval endpoint.
-    """
-    seq = comp.sequence
-    if comp.kind == CIRCLE:
+def _cut(w: _Word, positions: list[int]) -> list[list]:
+    """Remove the cusps at the given (ascending) positions from one word,
+    returning open paths [elements, left end, right end].  An end is
+    labeled (cusp id, "L"/"R") at a removed cusp (the side names which
+    neighbor of the cusp the end arc was), or by its boundary point id."""
+    elems = w.sequence
+    if w.kind == CIRCLE:
         if len(positions) == 1:
             q = positions[0]
-            c = seq[q]
-            elems = list(seq[q + 1:]) + list(seq[:q])
-            return [_Path(elems, ("cut", c.id, "R"), ("cut", c.id, "L"))]
+            c = elems[q].id
+            return [[elems[q + 1:] + elems[:q], (c, "R"), (c, "L")]]
         q1, q2 = positions
-        ca, cb = seq[q1], seq[q2]
-        return [
-            _Path(list(seq[q1 + 1:q2]),
-                  ("cut", ca.id, "R"), ("cut", cb.id, "L")),
-            _Path(list(seq[q2 + 1:]) + list(seq[:q1]),
-                  ("cut", cb.id, "R"), ("cut", ca.id, "L")),
-        ]
-    # interval
-    paths: list[_Path] = []
-    prev = 0
-    prev_label = ("bd", comp.endpoints[0])
+        ca, cb = elems[q1].id, elems[q2].id
+        return [[elems[q1 + 1:q2], (ca, "R"), (cb, "L")],
+                [elems[q2 + 1:] + elems[:q1], (cb, "R"), (ca, "L")]]
+    paths = []
+    prev, left = 0, w.endpoints[0]
     for q in positions:
-        c = seq[q]
-        paths.append(_Path(list(seq[prev:q]), prev_label, ("cut", c.id, "L")))
-        prev = q + 1
-        prev_label = ("cut", c.id, "R")
-    paths.append(_Path(list(seq[prev:]), prev_label,
-                       ("bd", comp.endpoints[1])))
+        c = elems[q].id
+        paths.append([elems[prev:q], left, (c, "L")])
+        prev, left = q + 1, (c, "R")
+    paths.append([elems[prev:], left, w.endpoints[1]])
     return paths
 
 
-def _glue(paths: list[_Path], fusions: list[tuple[tuple, tuple]]
-          ) -> tuple[list[Component], list[Component], list[str]]:
-    """Apply end fusions; return (open intervals, closed circles, ids of
-    the arcs fused away)."""
-    circles: list[Component] = []
+def _glue(paths: list[list], fusions: list[tuple[tuple, tuple]]
+          ) -> tuple[list[tuple], list[tuple], list[str]]:
+    """Apply end fusions; return the open intervals and the closed circles
+    as (kind, elements, endpoints), and the ids of the arcs fused away.
+    A merged path takes the place of its first part among the paths."""
     dropped: list[str] = []
 
     def fuse(a: FoldArc, b: FoldArc) -> FoldArc:
-        # two distinct arcs become one, under the smaller id
+        # two distinct arcs of equal index become one, under the smaller id
         if a.tau != b.tau:
-            raise AssertionError(
-                f"internal: fusing arcs {a.id!r} (tau={a.tau}) and "
-                f"{b.id!r} (tau={b.tau}) of unequal index")
-        keep, drop = sorted((a.id, b.id))
-        dropped.append(drop)
-        return FoldArc(keep, a.tau)
+            raise AssertionError(f"internal: fusing unequal arcs {a}, {b}")
+        keep, drop = (a, b) if a.id < b.id else (b, a)
+        dropped.append(drop.id)
+        return keep
 
-    def find(label: tuple) -> _Path:
-        for path in paths:
-            if path.left == label or path.right == label:
-                return path
-        raise AssertionError(f"internal: no path end labeled {label}")
-
-    for la, lb in fusions:
-        pa = find(la)
-        pb = find(lb)
-        if pa is pb:
-            elems = pa.elements
-            if len(elems) == 1:
-                word = tuple(elems)
-            else:
-                word = (fuse(elems[0], elems[-1]),) + tuple(elems[1:-1])
-            circles.append(Component(CIRCLE, word))
-            paths.remove(pa)
-            continue
-        if pa.right != la:
-            pa = pa.reversed_()
-        if pb.left != lb:
-            pb = pb.reversed_()
-        fused = fuse(pa.elements[-1], pb.elements[0])
-        merged = _Path(pa.elements[:-1] + [fused] + pb.elements[1:],
-                       pa.left, pb.right)
-        idx = next(k for k, q in enumerate(paths)
-                   if q.left == pa.left or q.right == pa.left)
-        paths[idx] = merged
-        paths.remove(next(q for q in paths
-                          if q is not merged and
-                          (q.left == pb.right or q.right == pb.right)))
-
-    intervals: list[Component] = []
+    at_end = {}
     for path in paths:
-        if path.left[0] != "bd" or path.right[0] != "bd":
+        at_end[path[1]] = at_end[path[2]] = path
+    circles: list[tuple] = []
+    for la, lb in fusions:
+        pa, pb = at_end.pop(la), at_end.pop(lb)
+        elems = pa[0]
+        if pa is pb:
+            if len(elems) > 1:
+                elems = [fuse(elems[0], elems[-1])] + elems[1:-1]
+            circles.append((CIRCLE, elems, None))
+            pa[0] = None
+            continue
+        # orient pa to end at la and pb to start at lb
+        left = pa[1] if pa[2] == la else pa[2]
+        if pa[2] != la:
+            elems = elems[::-1]
+        right, tail = (pb[2], pb[0]) if pb[1] == lb else (pb[1], pb[0][::-1])
+        elems[-1] = fuse(elems[-1], tail[0])
+        elems.extend(tail[1:])
+        pa[:] = [elems, left, right]
+        at_end[right] = pa
+        pb[0] = None
+    intervals = []
+    for elems, left, right in paths:
+        if elems is None:
+            continue
+        if not (isinstance(left, str) and isinstance(right, str)):
             raise AssertionError("internal: unfused cut end left over")
-        intervals.append(Component(INTERVAL, tuple(path.elements),
-                                   (path.left[1], path.right[1])))
+        intervals.append((INTERVAL, elems, (left, right)))
     return intervals, circles, dropped
 
 
-def _fused_ends(s: _State, at1: tuple, at2: tuple, reconnection: str):
+def _fused_ends(at1: tuple, at2: tuple, reconnection: str):
     """The two end pairs an elimination fuses, each as ((side, arc) at the
     first cusp, (side, arc) at the second); ``at1``/``at2`` give each
-    cusp's (component key, word position)."""
-    l1, r1 = _abutting_arcs(s.comps[at1[0]], at1[1])
-    l2, r2 = _abutting_arcs(s.comps[at2[0]], at2[1])
+    cusp's (word, position)."""
+    l1, r1 = _abutting_arcs(*at1)
+    l2, r2 = _abutting_arcs(*at2)
     if reconnection == STAY:
         return ((("L", l1), ("L", l2)), (("R", r1), ("R", r2)))
     if reconnection == SPLIT:
@@ -424,22 +426,24 @@ def legal_reconnections(p: SingularPattern, c1_id: str,
     at2 = s.find(c2_id, Cusp)[:2]
     return tuple(recon for recon in (STAY, SPLIT)
                  if all(a.tau == b.tau for (_, a), (_, b)
-                        in _fused_ends(s, at1, at2, recon)))
+                        in _fused_ends(at1, at2, recon)))
 
 
 def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
-               assume_removable: bool) -> list[int]:
-    """Eliminate the pair; returns the keys of the components it leaves in
-    place of the ones it cut (intervals first, then circles).  The drivers
-    vouch for removability in dimension 2 themselves (``s.n == 2``)."""
-    _record(s, "eliminate_matching_pair",
-            {"cusp1": c1_id, "cusp2": c2_id, "reconnection": reconnection,
-             "assume_removable": assume_removable})
+               assume_removable: bool,
+               move: Optional[Move] = None) -> list[_Word]:
+    """Eliminate the pair; returns the words it leaves in place of the ones
+    it cut (intervals first, then circles).  The drivers vouch for
+    removability in dimension 2 themselves (``s.n == 2``).  A replayed
+    ``move`` is recorded as given."""
+    _record(s, move or Move("eliminate_matching_pair", {
+        "cusp1": c1_id, "cusp2": c2_id, "reconnection": reconnection,
+        "assume_removable": assume_removable}))
     if c1_id == c2_id:
         raise PreconditionError("need two distinct cusps")
     n = s.n
-    k1, pos1, cusp1 = s.find(c1_id, Cusp)
-    k2, pos2, cusp2 = s.find(c2_id, Cusp)
+    w1, pos1, cusp1 = s.find(c1_id, Cusp)
+    w2, pos2, cusp2 = s.find(c2_id, Cusp)
     if cusp1.normal_index + cusp2.normal_index != n - 2:
         raise PreconditionError(
             f"cusps {c1_id!r} (I={cusp1.normal_index}) and {c2_id!r} "
@@ -447,26 +451,25 @@ def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
     if n == 2 and not assume_removable:
         raise PreconditionError(
             "eliminations in ambient dimension 2 need assume_removable=True")
-    fused = _fused_ends(s, (k1, pos1), (k2, pos2), reconnection)
-    for (_, a), (_, b) in fused:
+    fusions = []
+    for (side1, a), (side2, b) in _fused_ends((w1, pos1), (w2, pos2),
+                                              reconnection):
         if a.tau != b.tau:
             raise PreconditionError(
                 f"reconnection {reconnection!r} would fuse arcs "
                 f"{a.id!r} (tau={a.tau}) and {b.id!r} (tau={b.tau}) of "
                 f"unequal index")
+        fusions.append(((c1_id, side1), (c2_id, side2)))
 
-    if k1 == k2:
-        cuts = [(k1, sorted((pos1, pos2)))]
+    if w1 is w2:
+        cuts = [(w1, sorted((pos1, pos2)))]
+    elif s.order.index(w1) < s.order.index(w2):
+        cuts = [(w1, [pos1]), (w2, [pos2])]
     else:
-        cuts = sorted([(k1, [pos1]), (k2, [pos2])],
-                      key=lambda cut: s.order.index(cut[0]))
-    paths: list[_Path] = []
-    for key, positions in cuts:
-        paths.extend(_cut_component(s.comps[key], positions))
-    intervals, circles, dropped = _glue(
-        paths, [(("cut", c1_id, side1), ("cut", c2_id, side2))
-                for (side1, _), (side2, _) in fused])
-    return s.rewire([key for key, _ in cuts], intervals + circles,
+        cuts = [(w2, [pos2]), (w1, [pos1])]
+    paths = [path for w, positions in cuts for path in _cut(w, positions)]
+    intervals, circles, dropped = _glue(paths, fusions)
+    return s.rewire([w for w, _ in cuts], intervals + circles,
                     [c1_id, c2_id] + dropped)
 
 
@@ -490,15 +493,15 @@ def _apply(s: _State, move: Move):
     k, params = move.kind, move.params
     if k == "create_cusp_pair":
         return _create(s, params["arc"], params["i"],
-                       params.get("flip", False))
+                       params.get("flip", False), move)
     if k == "eliminate_matching_pair":
         return _eliminate(s, params["cusp1"], params["cusp2"],
                           params.get("reconnection", STAY),
-                          params.get("assume_removable", False))
+                          params.get("assume_removable", False), move)
     raise PreconditionError(f"unknown move kind {k!r}")
 
 
-def _ladder_to(s: _State, key: int, target_tau: int) -> str:
+def _ladder_to(s: _State, w: _Word, target_tau: int) -> str:
     """Create pairs on a component until it carries an arc of the target
     index, and return the id of the first such arc.
 
@@ -506,7 +509,7 @@ def _ladder_to(s: _State, key: int, target_tau: int) -> str:
     only arc one index lower; so the ladder follows the inner arcs, and
     needs exactly (lowest index - target) steps, refused up front when they
     would overrun the move budget."""
-    arcs = s.comps[key].arcs()
+    arcs = w.sequence[::2]
     hit = next((a for a in arcs if a.tau == target_tau), None)
     if hit is not None:
         return hit.id
@@ -521,9 +524,9 @@ def _ladder_to(s: _State, key: int, target_tau: int) -> str:
     return arc_id
 
 
-def _toggle_parity(s: _State, key: int) -> None:
+def _toggle_parity(s: _State, w: _Word) -> None:
     target = s.n // 2
-    arc = _ladder_to(s, key, target)
+    arc = _ladder_to(s, w, target)
     c1, _, _, right = _create(s, arc, target - 1)
     assert right is not None
     d1 = _create(s, right, target - 1)[0]
@@ -541,28 +544,27 @@ def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
     """
     _require(p, parity=0)
     s = _State(p)
-    key = s.key_at(comp_idx)
-    if s.comps[key].kind != INTERVAL:
+    w = s.word_at(comp_idx)
+    if w.kind != INTERVAL:
         raise PreconditionError("parity toggle acts on interval components")
-    _toggle_parity(s, key)
+    _toggle_parity(s, w)
     return s.pattern()
 
 
-def _merge(s: _State, key_a: int, key_b: int,
+def _merge(s: _State, wa: _Word, wb: _Word,
            endpoint_a: Optional[str] = None,
            endpoint_b: Optional[str] = None) -> None:
-    comp_a, comp_b = s.comps[key_a], s.comps[key_b]
     # which end of its interval each designated endpoint is
-    ends = [0 if x is None else comp.endpoints.index(x)
-            for comp, x in ((comp_a, endpoint_a), (comp_b, endpoint_b))]
+    ends = [0 if x is None else w.endpoints.index(x)
+            for w, x in ((wa, endpoint_a), (wb, endpoint_b))]
     # The elimination cuts A and B at one created cusp each.  Unflipped, the
     # only legal pairing is SPLIT, which joins opposite ends of A and B;
     # flipping B's pair makes it STAY, which joins equal ends.  With a circle
     # any outcome is the merge.
-    flip = (comp_a.kind == comp_b.kind == INTERVAL and ends[0] == ends[1])
+    flip = wa.kind == wb.kind == INTERVAL and ends[0] == ends[1]
     t = (s.n - 1) // 2
-    arc_a = _ladder_to(s, key_a, t)
-    arc_b = _ladder_to(s, key_b, t)
+    arc_a = _ladder_to(s, wa, t)
+    arc_b = _ladder_to(s, wb, t)
     ca = _create(s, arc_a, t)[1]
     b1, b2, _, _ = _create(s, arc_b, t, flip)
     # cross pair with indices summing to n-2: the (t-1)-cusp from a with
@@ -584,22 +586,22 @@ def merge_components(p: SingularPattern, idx_a: int, idx_b: int,
     if idx_a == idx_b:
         raise PreconditionError("need two distinct components")
     s = _State(p)
-    keys = []
+    words = []
     for idx, point_id in ((idx_a, endpoint_a), (idx_b, endpoint_b)):
-        keys.append(s.key_at(idx))
+        words.append(s.word_at(idx))
         if point_id is not None and point_id not in (
-                s.comps[keys[-1]].endpoints or ()):
+                words[-1].endpoints or ()):
             raise PreconditionError(
                 f"{point_id!r} is not an endpoint of component {idx}")
-    _merge(s, keys[0], keys[1], endpoint_a, endpoint_b)
+    _merge(s, *words, endpoint_a, endpoint_b)
     return s.pattern()
 
 
-def _first_exceptional_cusp(comp: Component, n: int) -> Cusp:
+def _first_exceptional_cusp(w: _Word, n: int) -> str:
     want = (n - 2) // 2
-    for c in comp.cusps():
+    for c in w.sequence[1::2]:
         if c.normal_index == want:
-            return c
+            return c.id
     raise AssertionError(
         "internal: an odd-cusp circle must carry an exceptional-index cusp")
 
@@ -629,31 +631,28 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
     s = _State(p)
     # a toggle fixes its interval and touches no other, so the failing
     # intervals are toggled in order, each once
-    for key in [key for key in s.order
-                if s.comps[key].kind == INTERVAL
-                and not _even_ok(s.comps[key], sigma)]:
-        _toggle_parity(s, key)
+    for w in [w for w in s.order
+              if w.kind == INTERVAL and not _even_ok(w, sigma)]:
+        _toggle_parity(s, w)
 
     # fusing two odd circles leaves one even circle in place of the first,
     # so the odd circles are fused in order, two by two
-    odd = [key for key in s.order if s.comps[key].kind == CIRCLE
-           and s.comps[key].cusp_count % 2 == 1]
+    odd = [w for w in s.order if w.kind == CIRCLE and w.cusp_count % 2 == 1]
     assert len(odd) % 2 == 0, "parity bookkeeping leaves odd circles in pairs"
-    for k1, k2 in zip(odd[::2], odd[1::2]):
-        c1 = _first_exceptional_cusp(s.comps[k1], n)
-        c2 = _first_exceptional_cusp(s.comps[k2], n)
+    for w1, w2 in zip(odd[::2], odd[1::2]):
+        c1 = _first_exceptional_cusp(w1, n)
+        c2 = _first_exceptional_cusp(w2, n)
         # exceptional cusps abut only arcs of index n/2, so STAY is legal
-        [fused] = _eliminate(s, c1.id, c2.id, STAY, s.n == 2)
+        [fused] = _eliminate(s, c1, c2, STAY, s.n == 2)
         if n == 2:
             # dimension 2 admits a stronger rewrite: the fused circle can
             # be made cusp-free outright, two cusps at a time
-            while s.comps[fused].cusp_count:
-                ca, cb = s.comps[fused].cusps()[:2]
-                [fused] = _eliminate(s, ca.id, cb.id, STAY, s.n == 2)
+            while fused.cusp_count:
+                ca, cb = fused.ids[1], fused.ids[3]
+                [fused] = _eliminate(s, ca, cb, STAY, s.n == 2)
 
-    final = s.pattern()
-    assert all(_even_ok(comp, sigma) for comp in final.components)
-    return MoveTrace(p, tuple(s.moves), final)
+    assert all(_even_ok(w, sigma) for w in s.order)
+    return MoveTrace(p, tuple(s.moves), s.pattern())
 
 
 def normalize_odd(p: SingularPattern,
@@ -681,13 +680,12 @@ def normalize_odd(p: SingularPattern,
     s = _State(p)
     for x, y in zip(plus, minus):
         # a valid pattern ends exactly one interval on each boundary point
-        kx, ky = s.ends[x], s.ends[y]
-        if kx != ky:
-            _merge(s, kx, ky, x, y)
+        wx, wy = s.ends[x], s.ends[y]
+        if wx is not wy:
+            _merge(s, wx, wy, x, y)
 
-    final = s.pattern()
-    assert all(_odd_ok(comp, by_id, sigma) for comp in final.components)
-    return MoveTrace(p, tuple(s.moves), final)
+    assert all(_odd_ok(w, by_id, sigma) for w in s.order)
+    return MoveTrace(p, tuple(s.moves), s.pattern())
 
 
 def apply_move(p: SingularPattern, move: Move) -> SingularPattern:

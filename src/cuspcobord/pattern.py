@@ -125,8 +125,9 @@ class Component:
     def cusps(self) -> tuple[Cusp, ...]:
         return tuple(e for e in self.sequence if isinstance(e, Cusp))
 
-    @property
+    @functools.cached_property
     def cusp_count(self) -> int:
+        # exact for any word, an invalid one included; kept on the object
         return sum(1 for e in self.sequence if isinstance(e, Cusp))
 
 
@@ -171,7 +172,7 @@ def _abutting_arcs(comp: Component, pos: int) -> tuple[FoldArc, FoldArc]:
 
 
 def _transition_ok(cusp: Cusp, left: FoldArc, right: FoldArc, n: int) -> bool:
-    tc = cusp.tau(n)
+    tc = cusp_tau(cusp.normal_index, n)
     if n % 2 == 0 and tc == n // 2 - 1:
         return left.tau == n // 2 and right.tau == n // 2
     return {left.tau, right.tau} == {tc, tc + 1}

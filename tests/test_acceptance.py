@@ -134,10 +134,12 @@ def test_criterion_3_homomorphism_and_inverse_laws():
             i1, i2 = cobordism_invariant(d1), cobordism_invariant(d2)
             if cobordism_invariant(disjoint_union(d1, d2)) != i1 + i2:
                 failures.append(("union", n, k))
-            if cobordism_invariant(reverse(d1)) != -i1:
-                failures.append(("reverse", n, k))
-            if cobordism_invariant(reverse(d2)) != -i2:
-                failures.append(("reverse", n, k))
+            for d, i in ((d1, i1), (d2, i2)):
+                r = reverse(d)
+                if cobordism_invariant(r) != -i:
+                    failures.append(("reverse", n, k))
+                if r.oriented != d.oriented:
+                    failures.append(("reverse keeps oriented", n, k))
     elapsed = time.perf_counter() - t0
     assert not failures, failures[:5]
     assert elapsed < 5.0, f"took {elapsed:.2f}s"

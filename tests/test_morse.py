@@ -114,7 +114,8 @@ class TestReverse:
         assert [(p.mu, p.sigma) for p in r.boundary] == [(3, -1), (0, 1)]
         assert [p.index for p in r.interior] == [3]
         assert r.chi_M == d.chi_M and r.chi_boundary == d.chi_boundary
-        assert r.oriented == (not d.oriented)
+        # the orientation-reversed copy of an oriented manifold is oriented
+        assert r.oriented == d.oriented
 
     def test_reverse_is_an_involution_up_to_orientation(self):
         rng = random.Random(7)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -348,6 +349,21 @@ class TestNormalizeOdd:
         p = build_pattern(2, (("circle", (1,), ()),))
         with pytest.raises(PreconditionError):
             normalize_odd(p, SignAssignment({}))
+
+    def test_a_long_ladder_stays_within_its_time_bound(self):
+        # two intervals of one top-index arc: the merge ladders each down to
+        # (n - 1) / 2, growing one word to 2n elements in 12,803 moves; when
+        # every step searched and rebuilt its word this took about 9 s
+        n = 12801
+        p = build_pattern(n, (("interval", (n - 1,), (), 0, 0),
+                              ("interval", (n - 1,), (), 0, 0)))
+        sigma = SignAssignment({"x0": 1, "x1": 1, "x2": -1, "x3": -1})
+        t0 = time.perf_counter()
+        trace = normalize_odd(p, sigma)
+        assert replay(trace) == trace.final
+        elapsed = time.perf_counter() - t0
+        assert len(trace.moves) == n + 2
+        assert elapsed < 3.0, f"took {elapsed:.2f}s"
 
 
 class TestNormalizeCompletenessSmall:

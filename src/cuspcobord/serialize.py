@@ -1,16 +1,19 @@
 """Strict JSON encodings of descriptors, patterns, signs, and traces.
 
 Every loader validates its input shape completely: unknown keys, missing
-required keys, or wrongly typed values raise SchemaError with the object
-path.  Exact rational critical values travel as strings like "3/4" so no
-precision is lost in transit.
+required keys, or wrongly typed values raise SchemaError with the one-line
+message ``<path>: <problem>``, its path from the document root, such as
+``trace.final.components[1].kind`` or ``sigma['x0']``.  Exact rational
+critical values travel as strings like "3/4", losing no precision.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping, Set
 from fractions import Fraction
-from typing import Any, Mapping, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from .errors import SchemaError
 from .invariants import SignAssignment
@@ -48,15 +51,65 @@ def _expect_mapping(obj: Any, where: str) -> Mapping:
     return obj
 
 
-def _check_keys(obj: Mapping, where: str, required: set[str],
-                optional: set[str] = frozenset()) -> None:
-    keys = set(obj.keys())
-    missing = required - keys
+def _check_keys(obj: Mapping, where: str, required: Set[str],
+                optional: Set[str]) -> None:
+    missing = required - obj.keys()
     if missing:
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = obj.keys() - required - optional
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+_Reader = Callable[[Any, str], Any]  # (JSON value, its path) -> value read
+
+
+def _fields(obj: Any, where: str, required: dict[str, _Reader],
+            optional: dict[str, _Reader] = {}) -> dict[str, Any]:
+    """The object ``obj`` at ``where`` as a dict: all keys of ``required``,
+    any of ``optional``, each value read by its key's reader at where.key."""
+    obj = _expect_mapping(obj, where)
+    out = {}
+    for key, value in obj.items():
+        read = required.get(key) or optional.get(key)
+        if read is None:
+            break
+        out[key] = read(value, f"{where}.{key}")
+    if len(out) < len(obj) or not required.keys() <= out.keys():
+        _check_keys(obj, where, required.keys(), optional.keys())
+    return out
+
+
+def _items(read: _Reader) -> _Reader:
+    """A reader of arrays whose items ``read`` reads, under ``where[k]``."""
+    def read_items(obj: Any, where: str) -> tuple:
+        if not isinstance(obj, list):
+            raise SchemaError(
+                f"{where}: expected an array, got {type(obj).__name__}")
+        return tuple(read(item, f"{where}[{k}]") for k, item in enumerate(obj))
+    return read_items
+
+
+def _one_of(allowed, what: str) -> _Reader:
+    def read(obj: Any, where: str) -> str:
+        value = _expect_str(obj, where)
+        if value not in allowed:
+            raise SchemaError(f"{where}: unknown {what} {value!r}")
+        return value
+    return read
+
+
+def _record(cls: Callable, required: dict[str, _Reader],
+            optional: dict[str, _Reader] = {}) -> _Reader:
+    """A reader of objects that builds ``cls`` from their fields by name (JSON
+    keys are field names); a ValueError from ``cls`` is a SchemaError."""
+    def read(obj: Any, where: str):
+        fields = _fields(obj, where, required, optional)
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    return read
 
 
 def _expect_int(obj: Any, where: str) -> int:
@@ -74,12 +127,6 @@ def _expect_str(obj: Any, where: str) -> str:
 def _expect_bool(obj: Any, where: str) -> bool:
     if not isinstance(obj, bool):
         raise SchemaError(f"{where}: expected a boolean, got {obj!r}")
-    return obj
-
-
-def _expect_list(obj: Any, where: str) -> list:
-    if not isinstance(obj, list):
-        raise SchemaError(f"{where}: expected an array, got {type(obj).__name__}")
     return obj
 
 
@@ -118,48 +165,21 @@ def _sign_from_json(obj: Any, where: str) -> int:
 # Morse descriptors
 
 
+_interior_point = _record(
+    InteriorCriticalPoint, {"id": _expect_str, "index": _expect_int},
+    {"value": _fraction_from_json})
+_boundary_point = _record(
+    BoundaryCriticalPoint,
+    {"id": _expect_str, "mu": _expect_int, "sigma": _sign_from_json},
+    {"value": _fraction_from_json})
+_descriptor = _record(MorseDescriptor, {
+    "n": _expect_int, "oriented": _expect_bool, "chi_M": _expect_int,
+    "chi_boundary": _expect_int, "interior": _items(_interior_point),
+    "boundary": _items(_boundary_point)})
+
+
 def descriptor_from_json(obj: Any) -> MorseDescriptor:
-    obj = _expect_mapping(obj, "descriptor")
-    _check_keys(obj, "descriptor",
-                {"n", "oriented", "chi_M", "chi_boundary", "interior",
-                 "boundary"})
-    interior = []
-    for k, item in enumerate(_expect_list(obj["interior"],
-                                          "descriptor.interior")):
-        where = f"descriptor.interior[{k}]"
-        item = _expect_mapping(item, where)
-        _check_keys(item, where, {"id", "index"}, {"value"})
-        value = (_fraction_from_json(item["value"], where + ".value")
-                 if "value" in item else None)
-        interior.append(InteriorCriticalPoint(
-            _expect_str(item["id"], where + ".id"),
-            _expect_int(item["index"], where + ".index"),
-            value))
-    boundary = []
-    for k, item in enumerate(_expect_list(obj["boundary"],
-                                          "descriptor.boundary")):
-        where = f"descriptor.boundary[{k}]"
-        item = _expect_mapping(item, where)
-        _check_keys(item, where, {"id", "mu", "sigma"}, {"value"})
-        value = (_fraction_from_json(item["value"], where + ".value")
-                 if "value" in item else None)
-        boundary.append(BoundaryCriticalPoint(
-            _expect_str(item["id"], where + ".id"),
-            _expect_int(item["mu"], where + ".mu"),
-            _sign_from_json(item["sigma"], where + ".sigma"),
-            value))
-    try:
-        return MorseDescriptor(
-            n=_expect_int(obj["n"], "descriptor.n"),
-            oriented=_expect_bool(obj["oriented"], "descriptor.oriented"),
-            chi_M=_expect_int(obj["chi_M"], "descriptor.chi_M"),
-            chi_boundary=_expect_int(obj["chi_boundary"],
-                                     "descriptor.chi_boundary"),
-            interior=tuple(interior),
-            boundary=tuple(boundary),
-        )
-    except ValueError as exc:
-        raise SchemaError(f"descriptor: {exc}") from exc
+    return _descriptor(obj, "descriptor")
 
 
 def descriptor_to_json(d: MorseDescriptor) -> dict:
@@ -206,91 +226,61 @@ def sigma_to_json(sigma: SignAssignment) -> dict:
 # singular patterns
 
 
+# each element kind: its class, its index's key, and its body's readers
+_ELEMENTS = {"arc": (FoldArc, "tau", {"tau": _expect_int}),
+             "cusp": (Cusp, "I", {"I": _expect_int})}
+_ID = {"id": _expect_str}
+
+
+def _element(obj: Any, where: str) -> tuple[type, int, Optional[str]]:
+    # (class, index, id or None): unnamed elements are named by _components
+    obj = _expect_mapping(obj, where)
+    if len(obj) != 1 or not obj.keys() <= _ELEMENTS.keys():
+        raise SchemaError(f"{where}: expected exactly one of 'arc' or 'cusp'")
+    [(what, body)] = obj.items()
+    cls, index, required = _ELEMENTS[what]
+    fields = _fields(body, f"{where}.{what}", required, _ID)
+    return cls, fields[index], fields.get("id")
+
+
+def _endpoints(obj: Any, where: str) -> tuple[str, ...]:
+    ids = _items(_expect_str)(obj, where)
+    if len(ids) != 2:
+        raise SchemaError(f"{where}: expected exactly two ids")
+    return ids
+
+
+# a component's fields, kept apart until every element's id is known
+_component = _record(dict, {"kind": _one_of((CIRCLE, INTERVAL), "kind"),
+                            "sequence": _items(_element)},
+                     {"endpoints": _endpoints})
+
+
+def _components(obj: Any, where: str) -> tuple[Component, ...]:
+    # ids are generated only once every explicit id is read, to skip them all
+    comps = _items(_component)(obj, where)
+    explicit = {eid for comp in comps for _, _, eid in comp["sequence"]
+                if eid is not None}
+    names = {FoldArc: _NamePool("a", explicit), Cusp: _NamePool("c", explicit)}
+    return tuple(
+        Component(**{**comp, "sequence": tuple(
+            cls(names[cls].take() if eid is None else eid, index)
+            for cls, index, eid in comp["sequence"])})
+        for comp in comps)
+
+
+# a pattern's boundary point may leave out its sign, which reads +1
+_pattern_point = _record(partial(BoundaryCriticalPoint, sigma=1),
+                         {"id": _expect_str, "mu": _expect_int},
+                         {"sigma": _sign_from_json})
+_pattern = _record(SingularPattern,
+                   {"n": _expect_int, "components": _components},
+                   {"chi_ambient": _expect_int,
+                    "boundary_points": _items(_pattern_point)})
+
+
 def pattern_from_json(obj: Any) -> SingularPattern:
-    obj = _expect_mapping(obj, "pattern")
-    _check_keys(obj, "pattern", {"n", "components"},
-                {"chi_ambient", "boundary_points"})
-    n = _expect_int(obj["n"], "pattern.n")
-    chi_ambient = (_expect_int(obj["chi_ambient"], "pattern.chi_ambient")
-                   if "chi_ambient" in obj else None)
-    boundary = []
-    for k, item in enumerate(_expect_list(obj.get("boundary_points", []),
-                                          "pattern.boundary_points")):
-        where = f"pattern.boundary_points[{k}]"
-        item = _expect_mapping(item, where)
-        _check_keys(item, where, {"id", "mu"}, {"sigma"})
-        sigma = (_sign_from_json(item["sigma"], where + ".sigma")
-                 if "sigma" in item else 1)
-        boundary.append(BoundaryCriticalPoint(
-            _expect_str(item["id"], where + ".id"),
-            _expect_int(item["mu"], where + ".mu"),
-            sigma))
-
-    # two passes so explicit ids never collide with generated ones
-    raw_components = _expect_list(obj["components"], "pattern.components")
-    explicit: set[str] = set()
-    parsed: list[tuple[str, Optional[tuple[str, str]], list[tuple]]] = []
-    for ci, comp in enumerate(raw_components):
-        where = f"pattern.components[{ci}]"
-        comp = _expect_mapping(comp, where)
-        _check_keys(comp, where, {"kind", "sequence"}, {"endpoints"})
-        kind = _expect_str(comp["kind"], where + ".kind")
-        if kind not in (CIRCLE, INTERVAL):
-            raise SchemaError(f"{where}.kind: unknown kind {kind!r}")
-        endpoints = None
-        if "endpoints" in comp:
-            eps = _expect_list(comp["endpoints"], where + ".endpoints")
-            if len(eps) != 2:
-                raise SchemaError(
-                    f"{where}.endpoints: expected exactly two ids")
-            endpoints = (_expect_str(eps[0], where + ".endpoints[0]"),
-                         _expect_str(eps[1], where + ".endpoints[1]"))
-        items = []
-        for k, e in enumerate(_expect_list(comp["sequence"],
-                                           where + ".sequence")):
-            ew = f"{where}.sequence[{k}]"
-            e = _expect_mapping(e, ew)
-            if set(e.keys()) == {"arc"}:
-                body = _expect_mapping(e["arc"], ew + ".arc")
-                _check_keys(body, ew + ".arc", {"tau"}, {"id"})
-                eid = (_expect_str(body["id"], ew + ".arc.id")
-                       if "id" in body else None)
-                items.append(("arc", _expect_int(body["tau"],
-                                                 ew + ".arc.tau"), eid))
-            elif set(e.keys()) == {"cusp"}:
-                body = _expect_mapping(e["cusp"], ew + ".cusp")
-                _check_keys(body, ew + ".cusp", {"I"}, {"id"})
-                eid = (_expect_str(body["id"], ew + ".cusp.id")
-                       if "id" in body else None)
-                items.append(("cusp", _expect_int(body["I"],
-                                                  ew + ".cusp.I"), eid))
-            else:
-                raise SchemaError(
-                    f"{ew}: expected exactly one of 'arc' or 'cusp'")
-            if items[-1][2] is not None:
-                explicit.add(items[-1][2])
-        parsed.append((kind, endpoints, items))
-
-    names = {prefix: _NamePool(prefix, explicit) for prefix in ("a", "c")}
-    components = []
-    for kind, endpoints, items in parsed:
-        seq: list = []
-        for what, value, eid in items:
-            if what == "arc":
-                seq.append(FoldArc(eid if eid is not None
-                                   else names["a"].take(), value))
-            else:
-                seq.append(Cusp(eid if eid is not None
-                                else names["c"].take(), value))
-        try:
-            components.append(Component(kind, tuple(seq), endpoints))
-        except ValueError as exc:
-            raise SchemaError(f"pattern component: {exc}") from exc
-    try:
-        return SingularPattern(n, tuple(components), tuple(boundary),
-                               chi_ambient)
-    except ValueError as exc:
-        raise SchemaError(f"pattern: {exc}") from exc
+    return _pattern(obj, "pattern")
 
 
 def pattern_to_json(p: SingularPattern) -> dict:
@@ -322,39 +312,29 @@ def pattern_to_json(p: SingularPattern) -> dict:
 # move traces and obstructions
 
 
-# required and optional parameters of each move kind, with their types
-_MOVE_PARAM_KEYS = {
+# required and optional parameters of each move kind, with their readers
+_MOVE_PARAMS = {
     "create_cusp_pair": ({"arc": _expect_str, "i": _expect_int},
                          {"flip": _expect_bool}),
     "eliminate_matching_pair": ({"cusp1": _expect_str, "cusp2": _expect_str},
                                 {"reconnection": _expect_str,
                                  "assume_removable": _expect_bool}),
 }
+_MOVE = {"kind": _one_of(_MOVE_PARAMS, "move kind"), "params": _expect_mapping}
 
 
-def _move_from_json(obj: Any, where: str) -> Move:
-    obj = _expect_mapping(obj, where)
-    _check_keys(obj, where, {"kind", "params"})
-    kind = _expect_str(obj["kind"], where + ".kind")
-    if kind not in _MOVE_PARAM_KEYS:
-        raise SchemaError(f"{where}.kind: unknown move kind {kind!r}")
-    params = dict(_expect_mapping(obj["params"], where + ".params"))
-    required, optional = _MOVE_PARAM_KEYS[kind]
-    _check_keys(params, where + ".params", set(required), set(optional))
-    expect = {**required, **optional}
-    for key, value in params.items():
-        expect[key](value, f"{where}.params.{key}")
-    return Move(kind, params)
+def _move(obj: Any, where: str) -> Move:
+    fields = _fields(obj, where, _MOVE)
+    return Move(fields["kind"], _fields(fields["params"], where + ".params",
+                                        *_MOVE_PARAMS[fields["kind"]]))
+
+
+_trace = _record(MoveTrace, {"initial": _pattern, "moves": _items(_move),
+                             "final": _pattern})
 
 
 def trace_from_json(obj: Any) -> MoveTrace:
-    obj = _expect_mapping(obj, "trace")
-    _check_keys(obj, "trace", {"initial", "moves", "final"})
-    moves = tuple(_move_from_json(m, f"trace.moves[{k}]")
-                  for k, m in enumerate(_expect_list(obj["moves"],
-                                                     "trace.moves")))
-    return MoveTrace(pattern_from_json(obj["initial"]), moves,
-                     pattern_from_json(obj["final"]))
+    return _trace(obj, "trace")
 
 
 def trace_to_json(trace: MoveTrace) -> dict:

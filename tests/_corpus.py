@@ -1,5 +1,6 @@
 """Run corpus/commands.json entries in-process: for the CLI suites, the
-corpus replay and the corpus generator alike."""
+corpus replay and the corpus generator alike.  Also walks the nodes of a
+JSON document, for the suites that mutate corpus files."""
 
 from __future__ import annotations
 
@@ -57,3 +58,15 @@ def run_entry(spec: dict) -> list[str]:
         elif outs[placeholder] != expected:
             problems.append(f"artifact differs from golden/{name}")
     return problems
+
+
+def json_nodes(doc, at: tuple = ()):
+    """The key path of every node of a JSON document, the root's ``()``
+    first, in document order."""
+    yield at
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from json_nodes(value, at + (key,))
+    elif isinstance(doc, list):
+        for k, value in enumerate(doc):
+            yield from json_nodes(value, at + (k,))

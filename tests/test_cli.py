@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from cuspcobord import cli
 from cuspcobord.cli import main
 
-from _corpus import REPO_ROOT, load_manifest, run_command, run_entry
+from _corpus import (REPO_ROOT, json_nodes, load_manifest, run_command,
+                     run_entry)
 
 MANIFEST = load_manifest()
 
@@ -430,16 +431,6 @@ BUMPS = st.one_of(
 ).map(lambda v: v and ":".join(repr(x) for x in v))
 
 
-def _nodes(doc, at=()):
-    yield at
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            yield from _nodes(value, at + (key,))
-    elif isinstance(doc, list):
-        for k, value in enumerate(doc):
-            yield from _nodes(value, at + (k,))
-
-
 @st.composite
 def _mutated(draw, name):
     """A corpus document with up to three random edits: a node replaced by
@@ -447,7 +438,7 @@ def _mutated(draw, name):
     with open(REPO_ROOT / "corpus" / name, encoding="utf-8") as fh:
         doc = json.load(fh)
     for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.sampled_from(list(_nodes(doc))))
+        at = draw(st.sampled_from(list(json_nodes(doc))))
         if not at:
             doc = draw(JUNK)
             continue

@@ -91,6 +91,18 @@ class TestCreate:
         with pytest.raises(PreconditionError):
             create_cusp_pair(p, "zz", 0)
 
+    def test_created_cusps_keep_the_transition_law(self):
+        # on a bare circle and on an interval, whose arc is split in two
+        for n in range(2, 40):
+            for i in range(n - 1):
+                tau = max(i, n - 1 - i)
+                for shape in (("circle", (tau,), ()),
+                              ("interval", (tau,), (), i, i)):
+                    p = build_pattern(n, (shape,))
+                    for flip in (False, True):
+                        q = create_cusp_pair(p, "a0", i, flip)
+                        assert validate_pattern(q).ok, (n, i, shape, flip)
+
 
 class TestEliminate:
     def test_inverts_creation_in_the_symmetric_case(self):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from cuspcobord.serialize import (
     trace_to_json,
 )
 
-from _corpus import REPO_ROOT
+from _corpus import REPO_ROOT, json_nodes
 from _enumeration import build_pattern, random_descriptor, single_shapes
 
 
@@ -205,6 +206,16 @@ class TestTrace:
                            match=rf"trace\.moves\[{move}\]\.params\.{key}"):
             trace_from_json(obj)
 
+    @pytest.mark.parametrize("side", ["initial", "final"])
+    def test_pattern_errors_name_their_side(self, side):
+        with open(REPO_ROOT / "golden" / "trace_odd.json",
+                  encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj[side]["components"][0]["kind"] = "blob"
+        with pytest.raises(SchemaError, match=rf"^trace\.{side}\.components"
+                                              r"\[0\]\.kind: unknown kind"):
+            trace_from_json(obj)
+
 
 class TestObstruction:
     def test_shape(self):
@@ -213,3 +224,84 @@ class TestObstruction:
                                               {"chi_V": 1, "chi_plus": 2}))
         assert out == {"kind": "parity_mismatch",
                        "witness": {"chi_V": 1, "chi_plus": 2}}
+
+
+# ---------------------------------------------------------------------------
+# single-fault sweep over every wire document in the repository
+
+_READERS = {"descriptor": descriptor_from_json, "pattern": pattern_from_json,
+            "sigma": sigma_from_json, "trace": trace_from_json}
+_FAULTS = (None, "s", 1.5, True, [], {}, -7)
+_DELETE = object()
+
+
+def _wire_documents() -> dict[str, tuple[str, object]]:
+    """Each corpus document and golden trace by file name, with the name of
+    its root (which is also the first word of its error paths)."""
+    docs = {}
+    for path in sorted((REPO_ROOT / "corpus").glob("*.json")) + [
+            REPO_ROOT / "golden" / f"trace_{p}.json" for p in ("odd", "even")]:
+        if path.name == "commands.json":
+            continue
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        root = ("trace" if "moves" in doc else
+                "pattern" if "components" in doc else
+                "descriptor" if "chi_M" in doc else "sigma")
+        docs[path.name] = (root, doc)
+    return docs
+
+
+def _path(root: str, at: tuple) -> str:
+    return root + "".join(
+        f"[{key}]" if isinstance(key, int) else
+        f"[{key!r}]" if root == "sigma" else f".{key}" for key in at)
+
+
+def _edited(doc, at: tuple, value):
+    if not at:
+        return value
+    copy = deepcopy(doc)
+    parent = copy
+    for key in at[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[at[-1]]
+    else:
+        parent[at[-1]] = value
+    return copy
+
+
+def _single_faults(root: str, doc):
+    """Each copy of ``doc`` with one fault, and the two paths its error may
+    start with: the faulty node's and its parent's.  A fault sets one node
+    to a value of ``_FAULTS``, deletes one key or adds the key "extra"."""
+    for at in list(json_nodes(doc)):
+        here, parent = _path(root, at), _path(root, at[:-1])
+        for value in _FAULTS:
+            yield _edited(doc, at, value), here, parent
+        node = doc
+        for key in at:
+            node = node[key]
+        if isinstance(node, dict):
+            for key in [*node, "extra"]:
+                yield (_edited(doc, at + (key,),
+                               _DELETE if key in node else 1),
+                       _path(root, at + (key,)), here)
+
+
+_WIRE_DOCUMENTS = _wire_documents()
+
+
+@pytest.mark.parametrize("name", sorted(_WIRE_DOCUMENTS))
+def test_single_faults_read_or_name_their_path(name):
+    """Every single fault either reads or raises one line that starts with
+    the path of the faulty node or of its parent, from the document root."""
+    root, doc = _WIRE_DOCUMENTS[name]
+    for mutated, here, parent in _single_faults(root, doc):
+        try:
+            _READERS[root](mutated)
+        except SchemaError as exc:
+            message = str(exc)
+            assert "\n" not in message
+            assert message.startswith((here + ": ", parent + ": ")), \
+                (here, message)

@@ -76,7 +76,7 @@ def realize_sign_assignment(boundary: tuple[BoundaryCriticalPoint, ...],
     return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoSolution:
     """Certificate that no sign assignment hits the requested class."""
 

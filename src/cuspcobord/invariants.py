@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignAssignment:
     """A choice of sign (+1/-1) for each boundary critical point, keyed by id."""
 
@@ -56,7 +56,7 @@ class SignAssignment:
         return frozenset(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CobordismClass:
     """Element of the cobordism group of Morse functions in dimension n.
 

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryCriticalPoint:
     """Critical point of the restriction to the boundary."""
 
@@ -48,7 +48,7 @@ class BoundaryCriticalPoint:
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InteriorCriticalPoint:
     """Interior critical point with its Morse index."""
 
@@ -84,13 +84,13 @@ class MorseDescriptor:
         return _check_laws(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     code: str
     message: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
 

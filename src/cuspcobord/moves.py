@@ -18,27 +18,25 @@ Composite moves (parity toggle, component merge) and the two normalization
 drivers are built from the atomic moves; a trace records only atomic moves,
 so it replays move by move.
 
-Each public move, driver and ``replay`` validates its (initial) pattern once
-and raises ``PreconditionError`` for an invalid one.  It then builds one
-working state (``_State``) and runs every move of the call on it.  Both
-moves are local, so a valid pattern stays valid when a move's own
-preconditions hold; inside, each move checks only what it touches: the
-transitions at created cusps, equal indices on fused arcs and the re-paired
-interval ends.  One run does at most ``MAX_MOVES`` moves.
+Each public move, driver and ``replay`` validates its (initial) pattern
+once and raises ``PreconditionError`` for an invalid one.  Unless it needs
+no move, it then builds one working state (``_State``) and runs every move
+of the call on it.  Both moves are local, so a valid pattern stays valid
+when a move's own preconditions hold; inside, each move checks only what it
+touches: the transitions at created cusps, equal indices on fused arcs and
+the re-paired interval ends.  One run does at most ``MAX_MOVES`` moves.
 
-The state holds each component as a mutable word (``_Word``): a list of
-its elements, a parallel list of their ids, its kind and its endpoints.
-An index maps every element id and interval endpoint to its word, and two
-pools hand out fresh names.  ``Component`` tuples are built when the run
-ends, for the words a move touched.  A word alternates arc, cusp, arc,
-..., so it carries ``len // 2`` cusps and its arcs are the slice ``[::2]``.
-A creation finds its arc, inserts three or four elements into the word's
-lists and indexes them; it leaves a position hint at the inner arc it made,
-the arc a ladder (or its replay) names next, so that lookup needs no
-search, and only the insert (a memmove of the word's tail) grows with the
-word.  An elimination cuts its one or two words at the two cusps into
-plain lists, glues their ends through a dict from end label to path, and
-indexes the words it made: time linear in the words it cuts.
+The state holds each component as a mutable word (``_Word``), indexed by
+element id and interval endpoint, and two pools hand out fresh names;
+``Component`` tuples are built when the run ends, for the words a move
+touched.  A word alternates arc, cusp, arc, ..., so it carries ``len // 2``
+cusps and its arcs are the slice ``[::2]``.  A creation inserts three or
+four elements after its arc and leaves a position hint at the inner arc,
+which a ladder (or its replay) names next; only the insert (a memmove of
+the word's tail) grows with the word.  An elimination cuts its one or two
+words at the two cusps into plain lists whose ends carry small-integer
+labels, glues them through a dict from label to path, and indexes the
+words it made: time linear in the words it cuts.
 """
 
 from __future__ import annotations
@@ -91,7 +89,7 @@ SPLIT = "split"
 MAX_MOVES = 10 ** 5  # move budget of one run: a driver call or a replay
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     """One rewriting step, replayable from its parameters alone."""
 
@@ -99,7 +97,7 @@ class Move:
     params: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MoveTrace:
     """A rewrite certificate: replaying ``moves`` from ``initial`` must
     reproduce ``final`` exactly."""
@@ -109,7 +107,7 @@ class MoveTrace:
     final: SingularPattern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obstruction:
     """Witness that no move sequence can reach the requested normal form."""
 
@@ -129,7 +127,8 @@ class _NamePool:
 
     ``live`` holds the live ids (a run's element index).  Names from
     ``top`` up are tested against it; ``free`` is a heap of the numbers
-    below ``top`` whose names were released since.
+    below ``top`` whose names were released since; ``given`` maps each name
+    handed out and not released since to its number.
     """
 
     def __init__(self, prefix: str, live: Container[str]):
@@ -137,16 +136,20 @@ class _NamePool:
         self.live = live
         self.free: list[int] = []
         self.top = 0
+        self.given: dict[str, int] = {}
 
     def take(self) -> str:
         if self.free:
-            return f"{self.prefix}{heapq.heappop(self.free)}"
-        k = self.top
-        name = f"{self.prefix}{k}"
-        while name in self.live:
-            k += 1
+            k = heapq.heappop(self.free)
             name = f"{self.prefix}{k}"
-        self.top = k + 1
+        else:
+            k = self.top
+            name = f"{self.prefix}{k}"
+            while name in self.live:
+                k += 1
+                name = f"{self.prefix}{k}"
+            self.top = k + 1
+        self.given[name] = k
         return name
 
     def release(self, k: int) -> None:
@@ -250,17 +253,17 @@ class _State:
         self._index(words)
         for eid in freed:
             del self.home[eid]
-            m = _NUMBERED.fullmatch(eid)
-            if m:
-                self.names[m[1]].release(int(m[2]))
+            pool = self.names.get(eid[:1])
+            # a name a pool handed out in this run needs no parse
+            k = pool.given.pop(eid, None) if pool else None
+            if k is None and (m := _NUMBERED.fullmatch(eid)):
+                k = int(m[2])
+            if k is not None:
+                pool.release(k)
         return words
 
     def pattern(self) -> SingularPattern:
-        # with no move made the pattern is the validated input itself, so
-        # questions asked of it reuse its report
         p = self.p
-        if not self.moves:
-            return p
         return SingularPattern(p.n, tuple(
             w.comp or Component(w.kind, tuple(w.sequence), w.endpoints)
             for w in self.order), p.boundary_points, p.chi_ambient)
@@ -326,46 +329,45 @@ def create_cusp_pair(p: SingularPattern, arc_id: str, i: int,
     return s.pattern()
 
 
-def _cut(w: _Word, positions: list[int]) -> list[list]:
-    """Remove the cusps at the given (ascending) positions from one word,
-    returning open paths [elements, left end, right end].  An end is
-    labeled (cusp id, "L"/"R") at a removed cusp (the side names which
-    neighbor of the cusp the end arc was), or by its boundary point id."""
+def _cut(w: _Word, cuts: list[tuple[int, int]]) -> list[list]:
+    """Remove cusps, given as (position, label) by ascending position, from
+    one word; return open paths [elements, left end, right end].  The ends
+    left and right of a removed cusp are labeled label and label + 1, an
+    interval's own ends by their boundary point ids."""
     elems = w.sequence
     if w.kind == CIRCLE:
-        if len(positions) == 1:
-            q = positions[0]
-            c = elems[q].id
-            return [[elems[q + 1:] + elems[:q], (c, "R"), (c, "L")]]
-        q1, q2 = positions
-        ca, cb = elems[q1].id, elems[q2].id
-        return [[elems[q1 + 1:q2], (ca, "R"), (cb, "L")],
-                [elems[q2 + 1:] + elems[:q1], (cb, "R"), (ca, "L")]]
+        if len(cuts) == 1:
+            (q, k), = cuts
+            return [[elems[q + 1:] + elems[:q], k + 1, k]]
+        (q1, k1), (q2, k2) = cuts
+        return [[elems[q1 + 1:q2], k1 + 1, k2],
+                [elems[q2 + 1:] + elems[:q1], k2 + 1, k1]]
     paths = []
     prev, left = 0, w.endpoints[0]
-    for q in positions:
-        c = elems[q].id
-        paths.append([elems[prev:q], left, (c, "L")])
-        prev, left = q + 1, (c, "R")
+    for q, k in cuts:
+        paths.append([elems[prev:q], left, k])
+        prev, left = q + 1, k + 1
     paths.append([elems[prev:], left, w.endpoints[1]])
     return paths
 
 
-def _glue(paths: list[list], fusions: list[tuple[tuple, tuple]]
+def _fuse(a: FoldArc, b: FoldArc, dropped: list[str]) -> FoldArc:
+    """Two distinct arcs of equal index become one, under the smaller id;
+    the other id joins ``dropped``."""
+    if a.tau != b.tau:
+        raise AssertionError(f"internal: fusing unequal arcs {a}, {b}")
+    keep, drop = (a, b) if a.id < b.id else (b, a)
+    dropped.append(drop.id)
+    return keep
+
+
+def _glue(paths: list[list], fusions: list[tuple[int, int]]
           ) -> tuple[list[tuple], list[tuple], list[str]]:
-    """Apply end fusions; return the open intervals and the closed circles
-    as (kind, elements, endpoints), and the ids of the arcs fused away.
-    A merged path takes the place of its first part among the paths."""
+    """Apply end fusions (pairs of ``_cut`` labels); return the open
+    intervals and the closed circles as (kind, elements, endpoints), and
+    the ids of the arcs fused away.  A merged path takes the place of its
+    first part among the paths."""
     dropped: list[str] = []
-
-    def fuse(a: FoldArc, b: FoldArc) -> FoldArc:
-        # two distinct arcs of equal index become one, under the smaller id
-        if a.tau != b.tau:
-            raise AssertionError(f"internal: fusing unequal arcs {a}, {b}")
-        keep, drop = (a, b) if a.id < b.id else (b, a)
-        dropped.append(drop.id)
-        return keep
-
     at_end = {}
     for path in paths:
         at_end[path[1]] = at_end[path[2]] = path
@@ -375,7 +377,7 @@ def _glue(paths: list[list], fusions: list[tuple[tuple, tuple]]
         elems = pa[0]
         if pa is pb:
             if len(elems) > 1:
-                elems = [fuse(elems[0], elems[-1])] + elems[1:-1]
+                elems = [_fuse(elems[0], elems[-1], dropped)] + elems[1:-1]
             circles.append((CIRCLE, elems, None))
             pa[0] = None
             continue
@@ -384,7 +386,7 @@ def _glue(paths: list[list], fusions: list[tuple[tuple, tuple]]
         if pa[2] != la:
             elems = elems[::-1]
         right, tail = (pb[2], pb[0]) if pb[1] == lb else (pb[1], pb[0][::-1])
-        elems[-1] = fuse(elems[-1], tail[0])
+        elems[-1] = _fuse(elems[-1], tail[0], dropped)
         elems.extend(tail[1:])
         pa[:] = [elems, left, right]
         at_end[right] = pa
@@ -393,22 +395,23 @@ def _glue(paths: list[list], fusions: list[tuple[tuple, tuple]]
     for elems, left, right in paths:
         if elems is None:
             continue
-        if not (isinstance(left, str) and isinstance(right, str)):
+        if type(left) is int or type(right) is int:
             raise AssertionError("internal: unfused cut end left over")
         intervals.append((INTERVAL, elems, (left, right)))
     return intervals, circles, dropped
 
 
 def _fused_ends(at1: tuple, at2: tuple, reconnection: str):
-    """The two end pairs an elimination fuses, each as ((side, arc) at the
-    first cusp, (side, arc) at the second); ``at1``/``at2`` give each
-    cusp's (word, position)."""
+    """The two end pairs an elimination fuses, each as ((label, arc) at the
+    first cusp, (label, arc) at the second); ``at1``/``at2`` give each
+    cusp's (word, position).  The ends left and right of the first cusp
+    are labeled 0 and 1, of the second 2 and 3, as ``_cut`` labels them."""
     l1, r1 = _abutting_arcs(*at1)
     l2, r2 = _abutting_arcs(*at2)
     if reconnection == STAY:
-        return ((("L", l1), ("L", l2)), (("R", r1), ("R", r2)))
+        return (((0, l1), (2, l2)), ((1, r1), (3, r2)))
     if reconnection == SPLIT:
-        return ((("L", l1), ("R", r2)), (("R", r1), ("L", l2)))
+        return (((0, l1), (3, r2)), ((1, r1), (2, l2)))
     raise PreconditionError(f"unknown reconnection {reconnection!r}")
 
 
@@ -417,8 +420,7 @@ def legal_reconnections(p: SingularPattern, c1_id: str,
     """Reconnection choices that fuse arcs of equal absolute index only."""
     _require(p)
     s = _State(p)
-    at1 = s.find(c1_id, Cusp)[:2]
-    at2 = s.find(c2_id, Cusp)[:2]
+    at1, at2 = (s.find(c_id, Cusp)[:2] for c_id in (c1_id, c2_id))
     return tuple(recon for recon in (STAY, SPLIT)
                  if all(a.tau == b.tau for (_, a), (_, b)
                         in _fused_ends(at1, at2, recon)))
@@ -447,22 +449,22 @@ def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
         raise PreconditionError(
             "eliminations in ambient dimension 2 need assume_removable=True")
     fusions = []
-    for (side1, a), (side2, b) in _fused_ends((w1, pos1), (w2, pos2),
-                                              reconnection):
+    for (end1, a), (end2, b) in _fused_ends((w1, pos1), (w2, pos2),
+                                            reconnection):
         if a.tau != b.tau:
             raise PreconditionError(
                 f"reconnection {reconnection!r} would fuse arcs "
                 f"{a.id!r} (tau={a.tau}) and {b.id!r} (tau={b.tau}) of "
                 f"unequal index")
-        fusions.append(((c1_id, side1), (c2_id, side2)))
+        fusions.append((end1, end2))
 
     if w1 is w2:
-        cuts = [(w1, sorted((pos1, pos2)))]
+        cuts = [(w1, sorted([(pos1, 0), (pos2, 2)]))]
     elif s.order.index(w1) < s.order.index(w2):
-        cuts = [(w1, [pos1]), (w2, [pos2])]
+        cuts = [(w1, [(pos1, 0)]), (w2, [(pos2, 2)])]
     else:
-        cuts = [(w2, [pos2]), (w1, [pos1])]
-    paths = [path for w, positions in cuts for path in _cut(w, positions)]
+        cuts = [(w2, [(pos2, 2)]), (w1, [(pos1, 0)])]
+    paths = [path for w, at in cuts for path in _cut(w, at)]
     intervals, circles, dropped = _glue(paths, fusions)
     return s.rewire([w for w, _ in cuts], intervals + circles,
                     [c1_id, c2_id] + dropped)
@@ -622,6 +624,8 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
             "lhs_mod2": chi_V % 2,
             "rhs_mod2": cp % 2,
         })
+    if all(_even_ok(comp, sigma) for comp in p.components):
+        return MoveTrace(p, (), p)
 
     s = _State(p)
     # a toggle fixes its interval and touches no other, so the failing
@@ -672,9 +676,13 @@ def normalize_odd(p: SingularPattern,
 
     plus = sorted(pid for pid, e in eps.items() if e == 1)
     minus = sorted(pid for pid, e in eps.items() if e == -1)
+    # a valid pattern ends exactly one interval on each boundary point
+    comp_of = {x: i for i, comp in enumerate(p.components)
+               for x in comp.endpoints or ()}
+    if all(comp_of[x] == comp_of[y] for x, y in zip(plus, minus)):
+        return MoveTrace(p, (), p)
     s = _State(p)
     for x, y in zip(plus, minus):
-        # a valid pattern ends exactly one interval on each boundary point
         wx, wy = s.ends[x], s.ends[y]
         if wx is not wy:
             _merge(s, wx, wy, x, y)
@@ -694,6 +702,8 @@ def apply_move(p: SingularPattern, move: Move) -> SingularPattern:
 def replay(trace: MoveTrace) -> SingularPattern:
     """Re-run a trace from its initial pattern; callers compare to final."""
     validate_pattern(trace.initial).require("initial pattern")
+    if not trace.moves:
+        return trace.initial
     s = _State(trace.initial)
     for move in trace.moves:
         _apply(s, move)

@@ -96,7 +96,7 @@ def _poly_compose_linear(coeffs: Sequence[float], a: float,
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PiecewisePoly:
     """Piecewise polynomial on consecutive knot intervals, zero outside.
 
@@ -192,7 +192,7 @@ def smooth_bump(center: float, radius: float, height: float) -> PiecewisePoly:
 # local models
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fold:
     """Projection plus a nondegenerate quadratic form with the given number
     of negative squares."""
@@ -200,14 +200,14 @@ class Fold:
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cusp:
     """One cubic direction coupled to the parameter, plus a quadratic form."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwallowTail:
     """Quartic one-parameter family; its singular curve carries two cusps
     for t > 0 and none for t < 0.  t = 0 is non-generic; LocalMap accepts
@@ -217,7 +217,7 @@ class SwallowTail:
     index: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbedFold:
     """Fold perturbed by alpha(t) * beta(|z|^2) with compactly supported
     bump factors."""
@@ -230,7 +230,7 @@ class PerturbedFold:
 Kind = Union[Fold, Cusp, SwallowTail, PerturbedFold]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalMap:
     """A model map R^n -> R^2 of the shape (t, z) -> (t, h(t, z))."""
 
@@ -391,7 +391,7 @@ def _row_norms(G: np.ndarray) -> np.ndarray:
 # grids and detection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GridSpec:
     """Seed grid: per-axis (lo, hi, count) with count evenly spaced values."""
 
@@ -472,7 +472,7 @@ def default_grid(m: LocalMap) -> GridSpec:
     return GridSpec(tuple(axes))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SingularSample:
     """A converged singular point with its classification."""
 
@@ -681,7 +681,7 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
 # the quartic family's singular curve, exactly
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SwallowTailCurve:
     """Analytic singular curve of the quartic family at a fixed t != 0.
 
@@ -763,7 +763,7 @@ def check_perturbation_condition(alpha: PiecewisePoly,
     return perturbation_supremum(alpha, beta) < 1.0 - PERTURBATION_MARGIN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerturbedFoldReport:
     """Numerical verification that a passing perturbation keeps the
     singular set on the parameter axis and moves the image onto the
@@ -823,7 +823,7 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
 # rendering
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanarCurve:
     """Polyline in the target plane with optional cusp marker points."""
 

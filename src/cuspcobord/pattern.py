@@ -63,7 +63,7 @@ CIRCLE = "circle"
 INTERVAL = "interval"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cusp:
     """Cusp point with its normal index I."""
 
@@ -74,7 +74,7 @@ class Cusp:
         return cusp_tau(self.normal_index, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FoldArc:
     """Maximal arc of fold points with constant absolute index."""
 
@@ -153,6 +153,11 @@ class SingularPattern:
         # ignore it, and a pattern built by replace() or a move starts
         # without one
         return _check_laws(self)
+
+    @functools.cached_property
+    def _boundary_ids(self) -> frozenset[str]:
+        # the domain a sign assignment must have, kept as _report is
+        return frozenset(p.id for p in self.boundary_points)
 
     @property
     def total_cusps(self) -> int:
@@ -308,7 +313,7 @@ def _require(p: SingularPattern, sigma: Optional[SignAssignment] = None,
         raise PreconditionError(
             f"needs {('even', 'odd')[parity]} ambient dimension, got n={p.n}")
     validate_pattern(p).require("pattern")
-    if sigma is not None:
+    if sigma is not None and sigma.entries.keys() != p._boundary_ids:
         _require_domain(p.boundary_points, sigma)
     if chi_V is not None and not cusp_parity_check(p, chi_V):
         raise PreconditionError(

@@ -576,3 +576,44 @@ class TestValidationContract:
         calls.clear()
         assert replay(out) == out.final
         assert len(calls) == 1 and calls[0] is out.initial
+
+
+class TestRunsWithoutMoves:
+    @pytest.fixture
+    def states(self, monkeypatch):
+        built = []
+        state = mv._State
+
+        def counting(p):
+            built.append(p)
+            return state(p)
+
+        monkeypatch.setattr(mv, "_State", counting)
+        return built
+
+    @pytest.mark.parametrize("p, sigma, chi_v", [
+        # an even circle and an interval with endpoint signs +, -
+        (build_pattern(2, (("circle", (1, 1), (0, 0)),
+                           ("interval", (1,), (), 0, 0))),
+         SignAssignment({"x0": 1, "x1": -1}), 1),
+        # two intervals whose endpoints already pair up greedily
+        (build_pattern(3, (("interval", (1,), (), 1, 1),
+                           ("interval", (2,), (), 0, 0))),
+         SignAssignment({"x0": 1, "x1": -1, "x2": 1, "x3": -1}), None),
+    ], ids=["normalize_even", "normalize_odd"])
+    def test_a_run_that_makes_no_move_builds_no_state(self, states, p,
+                                                      sigma, chi_v):
+        out = (normalize_even(p, sigma, chi_v) if p.n % 2 == 0
+               else normalize_odd(p, sigma))
+        assert isinstance(out, MoveTrace) and out.moves == ()
+        assert out.initial is p and out.final is p
+        assert replay(out) is p
+        assert states == []
+
+    def test_a_run_that_moves_builds_one_state(self, states):
+        p = build_pattern(3, (("interval", (2,), (), 0, 0),
+                              ("interval", (2,), (), 0, 0)))
+        sigma = SignAssignment({"x0": 1, "x1": 1, "x2": -1, "x3": -1})
+        out = normalize_odd(p, sigma)
+        assert out.moves and states == [p]
+        assert replay(out) == out.final and states == [p, p]

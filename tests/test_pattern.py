@@ -548,3 +548,54 @@ def test_the_package_has_no_global_caches():
         found += [f"{path.name}: {hit}" for hit in
                   _global_cache_decorators(path.read_text(encoding="utf-8"))]
     assert not found, found
+
+
+def _unslotted_dataclasses(source: str) -> list[str]:
+    """Classes in source under @dataclass without slots=True that keep no
+    functools.cached_property (which needs an instance dict)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        cached = any(ast.unparse(deco).endswith("cached_property")
+                     for item in node.body
+                     for deco in getattr(item, "decorator_list", ()))
+        for deco in node.decorator_list:
+            target = deco.func if isinstance(deco, ast.Call) else deco
+            if ast.unparse(target) not in ("dataclass",
+                                           "dataclasses.dataclass"):
+                continue
+            slotted = isinstance(deco, ast.Call) and any(
+                k.arg == "slots" and ast.literal_eval(k.value) is True
+                for k in deco.keywords)
+            if not (slotted or cached):
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("@dataclass(frozen=True)\nclass A:\n    x: int", 1),
+    ("@dataclasses.dataclass\nclass A:\n    x: int", 1),
+    ("@dataclass(frozen=True, slots=False)\nclass A:\n    x: int", 1),
+    ("@dataclass(frozen=True, slots=True)\nclass A:\n    x: int", 0),
+    ("@dataclass(frozen=True)\nclass A:\n    @functools.cached_property\n"
+     "    def f(self): ...", 0),
+    ("class A:\n    x: int", 0),
+])
+def test_unslotted_dataclass_finder(source, hits):
+    assert len(_unslotted_dataclasses(source)) == hits
+
+
+def test_every_package_dataclass_without_a_cache_is_slotted():
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "cuspcobord").glob("*.py")):
+        found += [f"{path.name}: {name}" for name in
+                  _unslotted_dataclasses(path.read_text(encoding="utf-8"))]
+    assert not found, found
+
+
+@pytest.mark.parametrize("obj", [
+    FoldArc("a0", 1), Cusp("c0", 0), mv.Move("create_cusp_pair", {}),
+    BoundaryCriticalPoint("x0", 0, 1)], ids=lambda obj: type(obj).__name__)
+def test_pattern_elements_moves_and_points_carry_no_instance_dict(obj):
+    assert not hasattr(obj, "__dict__")

@@ -23,8 +23,6 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 from . import moves as mv
 from . import normal_forms as nf
 from . import pattern as pat
@@ -264,7 +262,6 @@ def _cmd_trace(args) -> int:
         report = nf.perturbed_fold_image(args.i, n, alpha, beta, tol=tol,
                                          grid=grid)
         samples = report.detected
-        cusps = []
         fields += [("sup_product", report.sup_product),
                    ("samples", report.samples),
                    ("max_axis_distance", report.max_axis_distance),
@@ -272,8 +269,9 @@ def _cmd_trace(args) -> int:
                    ("ok", report.ok)]
     else:
         samples = nf.detect_singular_set(m, grid, tol=tol)
-        cusps = [s for s in samples if s.kind == "cusp-candidate"]
-        fields += [("samples", len(samples)), ("cusps", len(cusps))]
+        fields += [("samples", len(samples)),
+                   ("cusps", sum(s.kind == "cusp-candidate"
+                                 for s in samples))]
     if kind == "swallowtail":
         curve = nf.swallow_tail_singular_curve(args.t, n)
         fields.append(("max_curve_distance", max(
@@ -283,28 +281,7 @@ def _cmd_trace(args) -> int:
     if args.csv:
         artifact = nf.samples_to_csv(samples)
     else:
-        # the singular-value curve to draw, and its cusp markers
-        if kind == "perturbed-fold":
-            beta0 = beta(0.0)
-            lo, hi = alpha.support()
-            points = [(float(t), float(alpha(float(t)) * beta0))
-                      for t in np.linspace(lo - 1.0, hi + 1.0, 401)]
-        elif kind == "swallowtail":
-            xs = [s.point[1] for s in samples]
-            pad = 0.1 * (max(xs) - min(xs) or 1.0) if xs else 0.0
-            xlo, xhi = (min(xs) - pad, max(xs) + pad) if xs else (-2.0, 2.0)
-            points = [curve.image_point(float(x))
-                      for x in np.linspace(xlo, xhi, 401)]
-        elif kind == "fold":
-            ts = [s.point[0] for s in samples] or [-1.0, 1.0]
-            points = [(min(ts), 0.0), (max(ts), 0.0)]
-        else:  # cusp
-            xs = [s.point[1] for s in samples] or [-1.0, 1.0]
-            points = [nf.evaluate(m, (-3.0 * float(x) ** 2, float(x))
-                                  + (0.0,) * (n - 2))
-                      for x in np.linspace(min(xs), max(xs), 401)]
-        markers = tuple(nf.evaluate(m, s.point) for s in cusps)
-        artifact = nf.render_svg([nf.PlanarCurve(tuple(points), markers)])
+        artifact = nf.render_svg([nf.singular_value_curve(m, samples)])
     extra = {"tol": tol, "format": "csv" if args.csv else "svg",
              "grid": [list(axis) for axis in grid.axes]}
     if args.out:

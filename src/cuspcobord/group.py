@@ -103,34 +103,21 @@ def solve_sigma_for_target(boundary: tuple[BoundaryCriticalPoint, ...],
     if len(set(ids)) != len(ids):
         raise PreconditionError("boundary ids must be distinct")
 
-    def invariant_of(cp: int) -> int:
-        return CobordismClass.of(n, chi_M - cp).value
-
+    # scanning chi_plus downwards leaves the smallest value realizing each
+    # class
     n_even = sum(1 for p in pts if p.mu % 2 == 0)
-    n_odd = len(pts) - n_even
-    attainable = sorted({invariant_of(cp) for cp in range(-n_odd, n_even + 1)})
-
-    if target.value not in attainable:
-        return NoSolution(target=target, attainable=tuple(attainable))
-    # pick the chi_plus value to realize, then assign +1 to just enough
-    # points: even-index points raise chi_plus, odd-index points lower it
-    wanted = None
-    for cp in range(-n_odd, n_even + 1):
-        if invariant_of(cp) == target.value:
-            wanted = cp
-            break
-    assert wanted is not None
-    signs = {p.id: -1 for p in pts}
-    if wanted >= 0:
-        quota = wanted
-        for p in pts:
-            if quota and p.mu % 2 == 0:
-                signs[p.id] = 1
-                quota -= 1
-    else:
-        quota = -wanted
-        for p in pts:
-            if quota and p.mu % 2 == 1:
-                signs[p.id] = 1
-                quota -= 1
+    realized = {}
+    for cp in range(n_even, n_even - len(pts) - 1, -1):
+        realized[CobordismClass.of(n, chi_M - cp).value] = cp
+    if target.value not in realized:
+        return NoSolution(target=target, attainable=tuple(sorted(realized)))
+    # assign +1 to just enough points: each even-index point raises
+    # chi_plus by one, each odd-index point lowers it by one
+    wanted = realized[target.value]
+    parity, quota = (0, wanted) if wanted >= 0 else (1, -wanted)
+    signs = {}
+    for p in pts:
+        take = quota > 0 and p.mu % 2 == parity
+        signs[p.id] = 1 if take else -1
+        quota -= take
     return SignAssignment(signs)

@@ -9,8 +9,8 @@ Hessian drops rank.
 The module evaluates the models and their Jacobians analytically, locates
 singular sets by Newton iteration from grid seeds, classifies and polishes
 the results, verifies the controlled-perturbation statement for fold maps
-perturbed by compactly supported bumps, and renders singular-value curves
-to SVG/CSV.  All floating point in the package lives here.
+perturbed by compactly supported bumps, and draws singular-value curves
+and renders them to SVG/CSV.  All floating point in the package lives here.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "PerturbedFoldReport",
     "perturbed_fold_image",
     "PlanarCurve",
+    "singular_value_curve",
     "render_svg",
     "samples_to_csv",
 ]
@@ -241,48 +242,35 @@ class LocalMap:
         n, k = self.n, self.kind
         if n < 2:
             raise ValueError(f"ambient dimension must be >= 2, got {n}")
-        if isinstance(k, Fold):
-            if not 0 <= k.index <= n - 1:
-                raise ValueError(
-                    f"fold index {k.index} outside [0, {n - 1}]")
-        elif isinstance(k, Cusp):
-            if not 0 <= k.index <= n - 2:
-                raise ValueError(
-                    f"cusp index {k.index} outside [0, {n - 2}]")
-        elif isinstance(k, SwallowTail):
-            if not MIN_ABS_T <= abs(k.t) <= MAX_ABS_T:
-                raise ValueError(f"|t| = {abs(k.t):g} is outside "
-                                 f"[{MIN_ABS_T:g}, {MAX_ABS_T:g}]")
-            if not 0 <= k.index <= max(n - 2, 0):
-                raise ValueError(
-                    f"quadratic index {k.index} outside [0, {max(n - 2, 0)}]")
-            if n == 2 and k.index != 0:
-                raise ValueError("no quadratic coordinates in dimension 2")
-        elif isinstance(k, PerturbedFold):
-            if not 0 <= k.index <= n - 1:
-                raise ValueError(
-                    f"fold index {k.index} outside [0, {n - 1}]")
-            if not isinstance(k.alpha, PiecewisePoly) or \
-               not isinstance(k.beta, PiecewisePoly):
-                raise ValueError(
-                    "perturbation factors must be compactly supported "
-                    "piecewise polynomials")
-        else:
+        if type(k) not in _LEADING:
             raise ValueError(f"unknown model kind {k!r}")
+        if isinstance(k, SwallowTail) and \
+           not MIN_ABS_T <= abs(k.t) <= MAX_ABS_T:
+            raise ValueError(f"|t| = {abs(k.t):g} is outside "
+                             f"[{MIN_ABS_T:g}, {MAX_ABS_T:g}]")
+        lead, name = _LEADING[type(k)]
+        if not 0 <= k.index <= n - lead:
+            raise ValueError(
+                f"{name} index {k.index} outside [0, {n - lead}]")
+        if isinstance(k, PerturbedFold) and not (
+                isinstance(k.alpha, PiecewisePoly)
+                and isinstance(k.beta, PiecewisePoly)):
+            raise ValueError(
+                "perturbation factors must be compactly supported "
+                "piecewise polynomials")
 
 
-def _signs(count: int, negatives: int) -> np.ndarray:
-    out = np.ones(count)
-    out[:negatives] = -1.0
-    return out
+# per kind: the coordinates before the quadratic form (t, then any cubic or
+# quartic x), and the name of the index counting its negative squares
+_LEADING = {Fold: (1, "fold"), PerturbedFold: (1, "fold"),
+            Cusp: (2, "cusp"), SwallowTail: (2, "quadratic")}
 
 
 def _quad_signs(m: LocalMap) -> np.ndarray:
     """Signs of the purely quadratic coordinates of the model."""
-    k = m.kind
-    if isinstance(k, (Fold, PerturbedFold)):
-        return _signs(m.n - 1, k.index)
-    return _signs(m.n - 2, k.index)
+    out = np.ones(m.n - _LEADING[type(m.kind)][0])
+    out[:m.kind.index] = -1.0
+    return out
 
 
 def evaluate(m: LocalMap, p: Sequence[float]) -> tuple[float, float]:
@@ -619,9 +607,7 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
     if len(grid.axes) != m.n:
         raise PreconditionError(
             f"grid has {len(grid.axes)} axes, map expects {m.n}")
-    seeds = 1
-    for _, _, count in grid.axes:
-        seeds = _add_axis(seeds, count)
+    _add_axis(1, grid.size)
     converged = []
     for seeds in grid.blocks(NEWTON_BLOCK):
         z, res = _newton_rows(m, seeds[:, 0], seeds[:, 1:])
@@ -786,6 +772,11 @@ class PerturbedFoldReport:
                 and self.max_image_error <= self.tol)
 
 
+def _fold_graph(k: PerturbedFold, t: float) -> float:
+    """The perturbed fold's predicted singular value alpha(t) * beta(0)."""
+    return k.alpha(t) * k.beta(0.0)
+
+
 def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
                          beta: PiecewisePoly, tol: float = 1e-8,
                          grid: Optional[GridSpec] = None
@@ -801,15 +792,11 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
     if grid is None:
         grid = default_grid(m)
     samples = detect_singular_set(m, grid, tol=max(tol, 1e-10))
-    beta0 = beta(0.0)
-    max_axis = 0.0
-    max_img = 0.0
+    max_axis = max_img = 0.0
     for s in samples:
-        z = np.asarray(s.point[1:])
-        max_axis = max(max_axis, float(np.linalg.norm(z)))
-        t = s.point[0]
-        _, h = evaluate(m, s.point)
-        max_img = max(max_img, abs(h - alpha(t) * beta0))
+        max_axis = max(max_axis, float(np.linalg.norm(s.point[1:])))
+        t, h = evaluate(m, s.point)
+        max_img = max(max_img, abs(h - _fold_graph(m.kind, t)))
     return PerturbedFoldReport(
         sup_product=sup,
         detected=tuple(samples),
@@ -829,6 +816,35 @@ class PlanarCurve:
 
     points: tuple[tuple[float, float], ...]
     cusps: tuple[tuple[float, float], ...] = ()
+
+
+def singular_value_curve(m: LocalMap,
+                         samples: Sequence[SingularSample]) -> PlanarCurve:
+    """The singular-value curve of a model to draw over the range of its
+    samples, marking each cusp candidate's image.  A perturbed fold draws
+    its predicted graph around the support of alpha, unmarked."""
+    k = m.kind
+    if isinstance(k, PerturbedFold):
+        lo, hi = k.alpha.support()
+        ts = np.linspace(lo - 1.0, hi + 1.0, 401).tolist()
+        return PlanarCurve(tuple((t, _fold_graph(k, t)) for t in ts))
+    if isinstance(k, SwallowTail):
+        xs = [s.point[1] for s in samples]
+        pad = 0.1 * (max(xs) - min(xs) or 1.0) if xs else 0.0
+        xlo, xhi = (min(xs) - pad, max(xs) + pad) if xs else (-2.0, 2.0)
+        curve = swallow_tail_singular_curve(k.t, m.n)
+        points = [curve.image_point(x)
+                  for x in np.linspace(xlo, xhi, 401).tolist()]
+    elif isinstance(k, Fold):
+        ts = [s.point[0] for s in samples] or [-1.0, 1.0]
+        points = [(min(ts), 0.0), (max(ts), 0.0)]
+    else:  # Cusp
+        xs = [s.point[1] for s in samples] or [-1.0, 1.0]
+        points = [evaluate(m, (-3.0 * x ** 2, x) + (0.0,) * (m.n - 2))
+                  for x in np.linspace(min(xs), max(xs), 401).tolist()]
+    markers = tuple(evaluate(m, s.point) for s in samples
+                    if s.kind == "cusp-candidate")
+    return PlanarCurve(tuple(points), markers)
 
 
 _SVG_W, _SVG_H, _SVG_MARGIN = 480.0, 360.0, 24.0

@@ -224,26 +224,27 @@ def _check_laws(p: SingularPattern) -> ValidationReport:
                 f"{where} does not alternate arcs and cusps as a "
                 f"{comp.kind} must"))
             continue
-        for e in comp.sequence:
+        # alternation puts the arcs at even and the cusps at odd positions
+        seq = comp.sequence
+        for e in seq:
             if e.id in seen_elt:
                 out.append(Violation("duplicate-element-id",
                                      f"id {e.id!r} used twice"))
             seen_elt.add(e.id)
-        for e in comp.arcs():
+        for e in seq[::2]:
             if not lo <= e.tau <= hi:
                 out.append(Violation(
                     "arc-index-range",
                     f"{where}: arc {e.id!r} has tau={e.tau}, outside "
                     f"[{lo}, {hi}]"))
-        for e in comp.cusps():
+        for e in seq[1::2]:
             if not 0 <= e.normal_index <= p.n - 2:
                 out.append(Violation(
                     "cusp-index-range",
                     f"{where}: cusp {e.id!r} has I={e.normal_index}, "
                     f"outside [0, {p.n - 2}]"))
-        for pos, e in enumerate(comp.sequence):
-            if not isinstance(e, Cusp):
-                continue
+        for pos in range(1, len(seq), 2):
+            e = seq[pos]
             if not 0 <= e.normal_index <= p.n - 2:
                 continue
             left, right = _abutting_arcs(comp, pos)
@@ -275,8 +276,7 @@ def _check_laws(p: SingularPattern) -> ValidationReport:
                 out.append(Violation(
                     "interval-endpoints-equal",
                     f"{where}: both ends claim boundary point {x0!r}"))
-            for side, pid, arc in ((0, x0, comp.sequence[0]),
-                                   (1, x1, comp.sequence[-1])):
+            for pid, arc in ((x0, seq[0]), (x1, seq[-1])):
                 if pid not in by_id:
                     out.append(Violation(
                         "unknown-endpoint",

@@ -182,26 +182,22 @@ def descriptor_from_json(obj: Any) -> MorseDescriptor:
     return _descriptor(obj, "descriptor")
 
 
+def _point_to_json(p: Any, *keys: str) -> dict:
+    # a critical point's id and keys, then its value if it has one
+    item = {key: getattr(p, key) for key in ("id", *keys)}
+    if p.value is not None:
+        item["value"] = str(p.value)
+    return item
+
+
 def descriptor_to_json(d: MorseDescriptor) -> dict:
-    interior = []
-    for p in d.interior:
-        item: dict[str, Any] = {"id": p.id, "index": p.index}
-        if p.value is not None:
-            item["value"] = str(p.value)
-        interior.append(item)
-    boundary = []
-    for p in d.boundary:
-        item = {"id": p.id, "mu": p.mu, "sigma": p.sigma}
-        if p.value is not None:
-            item["value"] = str(p.value)
-        boundary.append(item)
     return {
         "n": d.n,
         "oriented": d.oriented,
         "chi_M": d.chi_M,
         "chi_boundary": d.chi_boundary,
-        "interior": interior,
-        "boundary": boundary,
+        "interior": [_point_to_json(p, "index") for p in d.interior],
+        "boundary": [_point_to_json(p, "mu", "sigma") for p in d.boundary],
     }
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -308,6 +309,28 @@ class TestPatternJson:
         assert payload == {"valid": True, "violations": [],
                            "components": 1, "cusps": 0}
 
+    def test_validate_reports_laws_in_order(self, tmp_path, capsys):
+        # one circle at n = 3: an arc outside [1, 2], a cusp outside
+        # [0, 1], and a cusp whose arcs (tau 1, then tau 5 around the
+        # wrap) break its transition
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 3, "components": [{
+            "kind": "circle", "sequence": [
+                {"arc": {"id": "a0", "tau": 5}},
+                {"cusp": {"id": "c0", "I": 7}},
+                {"arc": {"id": "a1", "tau": 1}},
+                {"cusp": {"id": "c1", "I": 0}}]}]}))
+        code, payload = self.run(capsys, "validate", str(path))
+        assert code == 1
+        assert payload["violations"] == [
+            {"code": "arc-index-range",
+             "message": "component 0: arc 'a0' has tau=5, outside [1, 2]"},
+            {"code": "cusp-index-range",
+             "message": "component 0: cusp 'c0' has I=7, outside [0, 1]"},
+            {"code": "cusp-transition",
+             "message": "component 0: cusp 'c1' (I=0, tau=1) abuts arcs "
+                        "of indices 1 and 5"}]
+
     def test_validate_invalid(self, capsys):
         code, payload = self.run(capsys, "validate",
                                  _corpus("bad_pattern.json"))
@@ -404,6 +427,20 @@ class TestArtifacts:
         got = capsys.readouterr().out
         golden = (REPO_ROOT / "golden" / "trace_fold.csv").read_text()
         assert got == golden
+
+    # the SVG curves that no golden file holds, pinned by the sha256 of
+    # stdout; every cusp model draws the same image, as does every fold
+    @pytest.mark.parametrize("argv, digest", [
+        (f"cusp {dims}", "7eca7aa84f2f8e3bedf07f15c906f71d"
+                         "df4b044d3d65cf40fb306542b48e3cb5")
+        for dims in ("--n 2", "--n 3", "--k 1 --n 4")] + [
+        (f"fold {dims}", "29d56e2fa2b00921d19c35cbb4ee26c0"
+                         "30dbd1a10efdc4667b674667aac63f4c")
+        for dims in ("--n 2", "--i 1 --n 3")])
+    def test_svg_stdout_digest(self, argv, digest, capsys):
+        assert main(["trace", *argv.split()]) == 0
+        got = capsys.readouterr().out
+        assert hashlib.sha256(got.encode()).hexdigest() == digest
 
 
 # pattern files with a sign assignment each; only odd_circle_n2's does not

@@ -1,6 +1,7 @@
 """Group structure: generators, cobordance decisions, sign-assignment solvers."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -109,17 +110,41 @@ class TestSolver:
             assert 1 - cp == value
 
     def test_exhaustive_matches_attainable_set(self):
-        pts = (BoundaryCriticalPoint("x0", 0, 1),
-               BoundaryCriticalPoint("x1", 2, 1))
-        # chi_plus ranges over {0, 1, 2}: both mu even, none odd
-        reachable = set()
-        for v in range(-5, 6):
-            got = solve_sigma_for_target(pts, 3, 1, CobordismClass.of(3, v))
-            if isinstance(got, SignAssignment):
-                reachable.add(v)
-            else:
-                assert v not in got.attainable
-        assert reachable == {1 - cp for cp in (0, 1, 2)}
+        # every boundary of up to 5 points at n = 2..5, listed against id
+        # order, under chi_M = -2..2, against the chi_plus of every sign
+        # assignment
+        for n in range(2, 6):
+            for k in range(6):
+                for mus in product(range(n), repeat=k):
+                    pts = tuple(BoundaryCriticalPoint(f"x{j}", mu, 1) for
+                                j, mu in reversed(list(enumerate(mus))))
+                    cps = {sum((-1) ** mu for mu, s in zip(mus, signs)
+                               if s == 1)
+                           for signs in product((1, -1), repeat=k)}
+                    for chi_M in range(-2, 3):
+                        self._check_solver(pts, mus, n, chi_M, cps)
+
+    @staticmethod
+    def _check_solver(pts, mus, n, chi_M, cps):
+        value_of = {cp: CobordismClass.of(n, chi_M - cp).value for cp in cps}
+        attainable = set(value_of.values())
+        for v in sorted(attainable) + [min(attainable) - 1,
+                                       max(attainable) + 1]:
+            target = CobordismClass.of(n, v)
+            got = solve_sigma_for_target(pts, n, chi_M, target)
+            if target.value not in attainable:
+                assert got == NoSolution(target, tuple(sorted(attainable)))
+                continue
+            cp = chi_plus_sigma(pts, got)
+            assert CobordismClass.of(n, chi_M - cp) == target
+            assert cp == min(c for c in value_of
+                             if value_of[c] == target.value)
+            # +1 on the first |cp| points by id whose index parity moves
+            # chi_plus towards cp
+            parity = 0 if cp >= 0 else 1
+            first = [f"x{j}" for j, mu in enumerate(mus)
+                     if mu % 2 == parity][:abs(cp)]
+            assert {p.id for p in pts if got.sign(p.id) == 1} == set(first)
 
     def test_no_solution_reports_attainable_values(self):
         got = solve_sigma_for_target((), 3, 1, CobordismClass.of(3, 5))

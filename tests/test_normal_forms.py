@@ -135,9 +135,24 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             LocalMap(1, Fold(0))
 
+    @pytest.mark.parametrize("kind, message", [
+        (Fold(3), "fold index 3 outside [0, 2]"),
+        (PerturbedFold(-1, bump(), bump()), "fold index -1 outside [0, 2]"),
+        (Cusp(2), "cusp index 2 outside [0, 1]"),
+        (SwallowTail(1.0, 2), "quadratic index 2 outside [0, 1]"),
+    ], ids=["fold", "perturbed-fold", "cusp", "swallowtail"])
+    def test_index_messages(self, kind, message):
+        with pytest.raises(ValueError) as exc:
+            LocalMap(3, kind)
+        assert str(exc.value) == message
+
     def test_degenerate_family_parameter_rejected(self):
         with pytest.raises(ValueError):
             LocalMap(3, SwallowTail(0.0))
+        # |t| is checked before the index
+        with pytest.raises(ValueError) as exc:
+            LocalMap(3, SwallowTail(0.0, 5))
+        assert str(exc.value) == "|t| = 0 is outside [0.0001, 10000]"
 
     def test_perturbation_factors_must_have_compact_support(self):
         with pytest.raises(ValueError):

@@ -550,6 +550,45 @@ def test_the_package_has_no_global_caches():
     assert not found, found
 
 
+def _numpy_imports(source: str) -> list[str]:
+    """The lines of source that import numpy or a submodule of it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            found.append(f"line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("import numpy as np", 1),
+    ("import math, numpy.linalg", 1),
+    ("from numpy import linspace", 1),
+    ("def f():\n    import numpy\n    return numpy", 1),
+    ("import numpyish\nfrom . import numpy_free", 0),
+])
+def test_numpy_import_finder(source, hits):
+    assert len(_numpy_imports(source)) == hits
+
+
+def test_only_normal_forms_imports_numpy():
+    # all floating point lives in normal_forms, and the CLI (and so its
+    # start-up) gets numpy through it
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "cuspcobord").glob("*.py")):
+        hits = _numpy_imports(path.read_text(encoding="utf-8"))
+        if path.name == "normal_forms.py":
+            assert hits
+        else:
+            found += [f"{path.name}: {hit}" for hit in hits]
+    assert not found, found
+
+
 def _unslotted_dataclasses(source: str) -> list[str]:
     """Classes in source under @dataclass without slots=True that keep no
     functools.cached_property (which needs an instance dict)."""

@@ -33,7 +33,6 @@ from .invariants import (
     SignAssignment,
     chi_plus,
     cobordism_invariant,
-    morse_van_schaack,
 )
 from .morse import validate as validate_descriptor
 
@@ -127,10 +126,10 @@ def _cmd_cobordant(args) -> int:
 
 def _cmd_extendable(args) -> int:
     d = _load_valid_descriptor(args.file)
-    sigma = SignAssignment.from_points(d.boundary)
-    ok = morse_van_schaack(d.n, d.chi_M, d.boundary, sigma)
+    value = cobordism_invariant(d).value
+    ok = value == 0  # Morse-van Schaack under the descriptor's own signs
     _emit([("n", d.n), ("chi_M", d.chi_M), ("chi_plus", chi_plus(d)),
-           ("invariant", cobordism_invariant(d).value),
+           ("invariant", value),
            ("necessary_condition", "pass" if ok else "fail")], args.json)
     return 0 if ok else 1
 

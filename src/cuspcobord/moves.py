@@ -26,17 +26,17 @@ when a move's own preconditions hold; inside, each move checks only what it
 touches: the transitions at created cusps, equal indices on fused arcs and
 the re-paired interval ends.  One run does at most ``MAX_MOVES`` moves.
 
-The state holds each component as a mutable word (``_Word``), indexed by
-element id and interval endpoint, and two pools hand out fresh names;
-``Component`` tuples are built when the run ends, for the words a move
-touched.  A word alternates arc, cusp, arc, ..., so it carries ``len // 2``
-cusps and its arcs are the slice ``[::2]``.  A creation inserts three or
-four elements after its arc and leaves a position hint at the inner arc,
-which a ladder (or its replay) names next; only the insert (a memmove of
-the word's tail) grows with the word.  An elimination cuts its one or two
-words at the two cusps into plain lists whose ends carry small-integer
-labels, glues them through a dict from label to path, and indexes the
-words it made: time linear in the words it cuts.
+The state holds each component as a mutable word (``_Word``): one list of
+its elements, indexed by element id and interval endpoint.  Two pools hand
+out fresh names, and ``Component`` tuples are built for every word when
+the run ends.  A word alternates arc, cusp, arc, ..., so it carries
+``len // 2`` cusps and its arcs are the slice ``[::2]``.  A creation
+inserts three or four elements after its arc and leaves a position hint at
+the inner arc, which a ladder (or its replay) names next; only the insert
+(a memmove of the list's tail) grows with the word.  An elimination cuts
+its one or two words at the two cusps into plain lists whose ends carry
+small-integer labels, glues them through a dict from label to path, and
+indexes the words it made: time linear in the words it cuts.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ import heapq
 import re
 from collections.abc import Container
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional, Union
 
 from .errors import PreconditionError
@@ -158,22 +159,20 @@ class _NamePool:
 
 
 class _Word:
-    """One component inside a run: ``sequence`` lists its arcs and cusps as
-    a ``Component``'s does, ``ids`` their ids at the same positions, and
-    ``hint`` the position to try first when looking up an id.  ``comp`` is
-    the ``Component`` the word stands for until a move touches it.  Like a
-    ``Component`` it answers ``kind``, ``endpoints`` and ``cusp_count``, so
-    the pattern's per-component laws apply to it."""
+    """One component inside a run, held in one list: ``sequence`` lists its
+    arcs and cusps as a ``Component``'s does, and ``hint`` is the position
+    to try first when looking up an id.  Like a ``Component`` it answers
+    ``kind``, ``endpoints`` and ``cusp_count``, so the pattern's
+    per-component laws apply to it; ``_State.pattern`` builds the
+    ``Component`` of every word when the run ends."""
 
-    __slots__ = ("kind", "sequence", "ids", "endpoints", "hint", "comp")
+    __slots__ = ("kind", "sequence", "endpoints", "hint")
 
-    def __init__(self, kind: str, sequence: list, endpoints, comp=None):
+    def __init__(self, kind: str, sequence: list, endpoints):
         self.kind = kind
         self.sequence = sequence
-        self.ids = [e.id for e in sequence]
         self.endpoints = endpoints
         self.hint = 0
-        self.comp = comp
 
     @property
     def cusp_count(self) -> int:
@@ -192,8 +191,8 @@ class _State:
     def __init__(self, p: SingularPattern):
         self.p = p
         self.n = p.n
-        self.order = [_Word(comp.kind, list(comp.sequence), comp.endpoints,
-                            comp) for comp in p.components]
+        self.order = [_Word(comp.kind, list(comp.sequence), comp.endpoints)
+                      for comp in p.components]
         self.home: dict[str, _Word] = {}
         self.ends: dict[str, _Word] = {}
         self._index(self.order)
@@ -204,8 +203,8 @@ class _State:
     def _index(self, words: list[_Word]) -> None:
         home, ends = self.home, self.ends
         for w in words:
-            for eid in w.ids:
-                home[eid] = w
+            for e in w.sequence:
+                home[e.id] = w
             if w.endpoints:
                 ends.update(dict.fromkeys(w.endpoints, w))
 
@@ -218,10 +217,10 @@ class _State:
         """(word, position, element) of the arc or cusp with this id."""
         w = self.home.get(eid)
         if w is not None:
-            pos = w.hint
-            if pos >= len(w.ids) or w.ids[pos] != eid:
-                pos = w.ids.index(eid)
-            e = w.sequence[pos]
+            seq, pos = w.sequence, w.hint
+            if pos >= len(seq) or seq[pos].id != eid:
+                pos = list(map(attrgetter("id"), seq)).index(eid)
+            e = seq[pos]
             if isinstance(e, kind):
                 return w, pos, e
         what = "fold arc" if kind is FoldArc else "cusp"
@@ -230,13 +229,10 @@ class _State:
     def splice(self, w: _Word, pos: int, new: tuple[Element, ...]) -> None:
         """Insert freshly named elements (cusp, inner arc, ...) after word
         position pos, and hint at the inner arc."""
-        ids = [e.id for e in new]
         w.sequence[pos + 1:pos + 1] = new
-        w.ids[pos + 1:pos + 1] = ids
         w.hint = pos + 2
-        w.comp = None
-        for eid in ids:
-            self.home[eid] = w
+        for e in new:
+            self.home[e.id] = w
 
     def rewire(self, old: list[_Word], new: list[tuple],
                freed: list[str]) -> list[_Word]:
@@ -265,7 +261,7 @@ class _State:
     def pattern(self) -> SingularPattern:
         p = self.p
         return SingularPattern(p.n, tuple(
-            w.comp or Component(w.kind, tuple(w.sequence), w.endpoints)
+            Component(w.kind, tuple(w.sequence), w.endpoints)
             for w in self.order), p.boundary_points, p.chi_ambient)
 
 
@@ -304,7 +300,7 @@ def _create(s: _State, arc_id: str, i: int, flip: bool = False,
     c1 = Cusp(cusps.take(), n - 2 - i if flip else i)
     c2 = Cusp(cusps.take(), i if flip else n - 2 - i)
     inner = FoldArc(arcs.take(), max(i + 1, n - 2 - i))
-    if w.kind == CIRCLE and len(w.ids) == 1:
+    if w.kind == CIRCLE and len(w.sequence) == 1:
         # the remainder of a bare circle is a single arc, so no split
         right = arc
         new = (c1, inner, c2)
@@ -647,7 +643,7 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
             # dimension 2 admits a stronger rewrite: the fused circle can
             # be made cusp-free outright, two cusps at a time
             while fused.cusp_count:
-                ca, cb = fused.ids[1], fused.ids[3]
+                ca, cb = fused.sequence[1].id, fused.sequence[3].id
                 [fused] = _eliminate(s, ca, cb, STAY, s.n == 2)
 
     assert all(_even_ok(w, sigma) for w in s.order)

@@ -117,6 +117,8 @@ class PiecewisePoly:
         for a, b in zip(self.knots, self.knots[1:]):
             if not (np.isfinite(a) and np.isfinite(b) and a < b):
                 raise ValueError("knots must be finite and increasing")
+        if not all(map(math.isfinite, (c for p in self.pieces for c in p))):
+            raise ValueError("coefficients must be finite")
 
     def __call__(self, t: float) -> float:
         if t < self.knots[0] or t > self.knots[-1]:
@@ -681,11 +683,17 @@ class SwallowTailCurve:
     index: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.t):
+            raise PreconditionError(f"t = {self.t} is not finite")
         if self.t == 0:
             raise PreconditionError(
                 "t = 0 is not generic; only t < 0 and t > 0 are modeled")
         if self.n < 2:
             raise PreconditionError("ambient dimension must be >= 2")
+        lead, name = _LEADING[SwallowTail]
+        if not 0 <= self.index <= self.n - lead:
+            raise PreconditionError(
+                f"{name} index {self.index} outside [0, {self.n - lead}]")
 
     def point(self, x: float) -> tuple[float, ...]:
         head = (-x ** 3 / 3 + self.t * x, x)

@@ -154,11 +154,6 @@ class SingularPattern:
         # without one
         return _check_laws(self)
 
-    @functools.cached_property
-    def _boundary_ids(self) -> frozenset[str]:
-        # the domain a sign assignment must have, kept as _report is
-        return frozenset(p.id for p in self.boundary_points)
-
     @property
     def total_cusps(self) -> int:
         return sum(c.cusp_count for c in self.components)
@@ -313,7 +308,7 @@ def _require(p: SingularPattern, sigma: Optional[SignAssignment] = None,
         raise PreconditionError(
             f"needs {('even', 'odd')[parity]} ambient dimension, got n={p.n}")
     validate_pattern(p).require("pattern")
-    if sigma is not None and sigma.entries.keys() != p._boundary_ids:
+    if sigma is not None:
         _require_domain(p.boundary_points, sigma)
     if chi_V is not None and not cusp_parity_check(p, chi_V):
         raise PreconditionError(

@@ -2,8 +2,10 @@
 
 import contextlib
 import copy
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import tempfile
 import time
@@ -13,8 +15,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuspcobord import cli
+from cuspcobord import cli, serialize
 from cuspcobord.cli import main
+from cuspcobord.group import generator
+from cuspcobord.invariants import SignAssignment, morse_van_schaack
+from cuspcobord.morse import disjoint_union, reverse
 
 from _corpus import (REPO_ROOT, json_nodes, load_manifest, run_command,
                      run_entry)
@@ -230,6 +235,31 @@ class TestJsonMode:
         assert main(["extendable", f, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["necessary_condition"] == "pass"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_extendable_agrees_with_morse_van_schaack(self, n, tmp_path,
+                                                      capsys):
+        # the generator under every sign pattern, the reverses, and every
+        # disjoint union of two of those
+        signed = [dataclasses.replace(generator(n), boundary=tuple(
+            dataclasses.replace(p, sigma=s) for p, s in zip(
+                generator(n).boundary, signs)))
+            for signs in itertools.product((1, -1), repeat=2)]
+        base = signed + [reverse(d) for d in signed]
+        spread = base + [disjoint_union(a, b) for a in base for b in base]
+        f = tmp_path / "d.json"
+        verdicts = set()
+        for d in spread:
+            f.write_text(json.dumps(serialize.descriptor_to_json(d)))
+            code = main(["extendable", str(f), "--json"])
+            payload = json.loads(capsys.readouterr().out)
+            ok = morse_van_schaack(d.n, d.chi_M, d.boundary,
+                                   SignAssignment.from_points(d.boundary))
+            assert code == (0 if ok else 1)
+            assert payload["necessary_condition"] == ("pass" if ok
+                                                      else "fail")
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
     def test_trace_embeds_artifact_when_no_out_path(self, capsys):
         assert main(["trace", "fold", "--n", "2", "--json"]) == 0

@@ -65,6 +65,15 @@ class TestPiecewisePoly:
         with pytest.raises(ValueError):
             PiecewisePoly((0.0, 1.0), ((1.0,), (2.0,)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_coefficients_must_be_finite(self, bad):
+        # a NaN coefficient would read as zero in max_abs, so the
+        # perturbation condition would pass on it
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            PiecewisePoly((0.0, 1.0), ((bad, 1.0),))
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            PiecewisePoly((0.0, 1.0, 2.0), ((0.0, 1.0), (2.0, 0.0, bad)))
+
 
 class TestSmoothBump:
     def test_peak_and_support(self):
@@ -380,6 +389,16 @@ class TestAnalyticCurve:
     def test_degenerate_parameter_rejected(self):
         with pytest.raises(PreconditionError):
             swallow_tail_singular_curve(0.0)
+        # what LocalMap refuses: a non-finite t, and a quadratic index
+        # outside [0, n - 2]
+        for t in (math.nan, math.inf, -math.inf):
+            with pytest.raises(PreconditionError, match="not finite"):
+                swallow_tail_singular_curve(t)
+        for n, index in ((3, 2), (3, 5), (3, -1), (3, -4), (2, 1)):
+            with pytest.raises(PreconditionError,
+                               match=f"quadratic index {index} outside"):
+                swallow_tail_singular_curve(1.0, n, index)
+        assert swallow_tail_singular_curve(1.0, 3, 1).fold_negatives(0.0) == 2
 
 
 class TestPerturbation:

@@ -18,10 +18,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
+
+# The numeric work is on 2x2-4x4 stacks, where extra BLAS threads never help
+# and their start-up spin costs CPU in every command; numpy loads below.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import moves as mv
 from . import normal_forms as nf
@@ -39,14 +44,24 @@ from .morse import validate as validate_descriptor
 __all__ = ["main", "entry"]
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _read_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # syntax, UTF-8, a huge integer, a repeat
+            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise SchemaError(
+                f"{path}: invalid JSON: nested too deeply") from None
 
 
 def _fmt(value: Any) -> str:

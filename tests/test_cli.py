@@ -7,6 +7,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -128,6 +131,39 @@ class TestExitCodes:
         assert err.startswith("error:") and "nested too deeply" in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("raw", [
+        b'{"n": "\xff"}',
+        b'{"n": ' + b"9" * 5000 + b"}",
+    ], ids=["invalid-utf8", "over-the-integer-digit-limit"])
+    def test_undecodable_json_names_the_file(self, raw, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        assert main(["invariant", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: invalid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, name, key", [
+        (["invariant", "{f}"], "fig2.json", "n"),
+        (["pattern", "validate", "{f}"], "interval_0cusp.json", "mu"),
+        (["pattern", "check", "corpus/interval_0cusp.json", "--sigma", "{f}"],
+         "sigma_pp.json", "x0"),
+    ], ids=["descriptor", "pattern", "sigma"])
+    def test_duplicate_keys_are_refused(self, argv, name, key, tmp_path,
+                                        capsys):
+        # the original value comes last, so without the check the file
+        # would read as the corpus file it was made from
+        text = (REPO_ROOT / "corpus" / name).read_text(encoding="utf-8")
+        dup = tmp_path / name
+        dup.write_text(text.replace(f'"{key}"', f'"{key}": 0, "{key}"', 1),
+                       encoding="utf-8")
+        argv = [str(dup) if a == "{f}" else
+                str(REPO_ROOT / a) if a.startswith("corpus/") else a
+                for a in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {dup}: invalid JSON: duplicate key '{key}'\n")
+
     @pytest.mark.parametrize("argv", [
         ["pattern", "normalize", "corpus/two_intervals_n2.json", "--sigma",
          "corpus/sigma_pp_pp.json", "--chi-v", "0", "--assume-removable"],
@@ -220,6 +256,43 @@ class TestExitCodes:
         b = str(REPO_ROOT / "corpus" / "d3_generator.json")
         assert main(["cobordant", a, b]) == 2
         capsys.readouterr()
+
+
+def _python(code: str, **env: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter, with OPENBLAS_NUM_THREADS unset
+    unless ``env`` sets it; returns the words of its stdout."""
+    child = {k: v for k, v in os.environ.items()
+             if k != "OPENBLAS_NUM_THREADS"}
+    child["PYTHONPATH"] = str(REPO_ROOT / "src")
+    child.update(env)
+    return subprocess.run([sys.executable, "-c", code], env=child,
+                          capture_output=True, text=True, check=True,
+                          cwd=REPO_ROOT).stdout.split()
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's BLAS on one thread unless the user has chosen a
+    count; importing the library changes nothing."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task")
+    def test_the_cli_starts_no_blas_worker_thread(self):
+        assert _python("import os, cuspcobord.cli; "
+                       "print(len(os.listdir('/proc/self/task')))") == ["1"]
+
+    def test_a_preset_thread_count_wins(self):
+        assert _python("import os, cuspcobord.cli; "
+                       "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                       OPENBLAS_NUM_THREADS="2") == ["2"]
+
+    def test_the_library_leaves_blas_threading_alone(self):
+        # the CLI's setting only works because the package itself loads no
+        # numpy before cli.py runs
+        assert _python("import os, sys, cuspcobord; "
+                       "print('numpy' in sys.modules); "
+                       "import cuspcobord.normal_forms; "
+                       "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+                       ) == ["False", "None"]
 
 
 class TestJsonMode:

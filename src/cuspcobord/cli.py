@@ -34,11 +34,7 @@ from . import pattern as pat
 from . import serialize
 from .errors import PreconditionError, SchemaError
 from .group import is_cobordant
-from .invariants import (
-    SignAssignment,
-    chi_plus,
-    cobordism_invariant,
-)
+from .invariants import chi_plus, cobordism_invariant
 from .morse import validate as validate_descriptor
 
 __all__ = ["main", "entry"]
@@ -96,7 +92,7 @@ def _emit(fields: list[tuple[str, Any]], as_json: bool,
     Under ``--json``: one object of the fields and ``out``, updated with
     the JSON-only entries ``extra`` (which may replace a field's value).
     """
-    tail = [("out", out)] if out else []
+    tail = [("out", out)] if out is not None else []
     if as_json:
         obj = {key: _json_value(value) for key, value in fields + tail}
         obj.update(extra or {})
@@ -153,60 +149,63 @@ def _cmd_extendable(args) -> int:
 # pattern commands
 
 
-def _require_sigma_file(args) -> SignAssignment:
-    if args.sigma is None:
-        raise SchemaError("this subcommand needs --sigma <file>")
-    return serialize.sigma_from_json(_read_json(args.sigma))
-
-
-def _cmd_pattern(args) -> int:
+def _cmd_validate(args) -> int:
     p = serialize.pattern_from_json(_read_json(args.file))
-    if args.action == "validate":
-        report = pat.validate_pattern(p)
-        counts = [("components", len(p.components)),
-                  ("cusps", p.total_cusps)]
-        fields: list[tuple[str, Any]] = [("valid", report.ok)]
-        extra = {"violations": [{"code": v.code, "message": v.message}
-                                for v in report.violations]}
-        if report.ok:
-            fields += counts
-            text = [("boundary_points", len(p.boundary_points))]
-        else:
-            # the text of an invalid pattern lists its violations instead
-            extra.update(counts)
-            text = [("violation", f"{v.code}: {v.message}")
-                    for v in report.violations]
-        _emit(fields, args.json, text, extra)
-        return 0 if report.ok else 1
+    report = pat.validate_pattern(p)
+    counts = [("components", len(p.components)), ("cusps", p.total_cusps)]
+    fields: list[tuple[str, Any]] = [("valid", report.ok)]
+    extra = {"violations": [{"code": v.code, "message": v.message}
+                            for v in report.violations]}
+    if report.ok:
+        fields += counts
+        text = [("boundary_points", len(p.boundary_points))]
+    else:
+        # the text of an invalid pattern lists its violations instead
+        extra.update(counts)
+        text = [("violation", f"{v.code}: {v.message}")
+                for v in report.violations]
+    _emit(fields, args.json, text, extra)
+    return 0 if report.ok else 1
 
-    sigma = _require_sigma_file(args)
-    if args.action == "check":
-        vf = pat.vector_field_exists(p, sigma)
-        flags = (pat.check_condition_even(p, sigma) if p.n % 2 == 0
-                 else pat.check_condition_odd(p, sigma))
-        fields = [("n", p.n), ("vector_field", vf)]
-        extra = {"components": [
-            {"kind": comp.kind, "cusps": comp.cusp_count, "condition": ok}
-            for comp, ok in zip(p.components, flags)]}
-        aggregate = None
-        if p.n % 2 == 1:
-            aggregate = pat.aggregate_odd(p, sigma)
-        elif args.chi_v is not None:
-            parity = pat.cusp_parity_check(p, args.chi_v)
-            fields.append(("cusp_parity", "pass" if parity else "fail"))
-            extra["cusp_parity"] = parity
-            if parity:
-                aggregate = pat.aggregate_even(p, sigma, args.chi_v)
-        if aggregate is not None:
-            fields += zip(("aggregate_lhs", "aggregate_rhs"), aggregate)
-        text = [("component", f"{k} kind={item['kind']} "
-                              f"cusps={item['cusps']} condition="
-                              f"{'pass' if item['condition'] else 'fail'}")
-                for k, item in enumerate(extra["components"])]
-        _emit(fields, args.json, text, extra)
-        return 0 if vf else 1
 
-    assert args.action == "normalize"
+def _load_pattern_and_sigma(args):
+    p = serialize.pattern_from_json(_read_json(args.file))
+    sigma = serialize.sigma_from_json(_read_json(args.sigma))
+    if p.n % 2 == 1 and args.chi_v is not None:
+        raise SchemaError(f"--chi-v applies only to even n, not n={p.n}")
+    return p, sigma
+
+
+def _cmd_check(args) -> int:
+    p, sigma = _load_pattern_and_sigma(args)
+    vf = pat.vector_field_exists(p, sigma)
+    flags = (pat.check_condition_even(p, sigma) if p.n % 2 == 0
+             else pat.check_condition_odd(p, sigma))
+    fields: list[tuple[str, Any]] = [("n", p.n), ("vector_field", vf)]
+    extra = {"components": [
+        {"kind": comp.kind, "cusps": comp.cusp_count, "condition": ok}
+        for comp, ok in zip(p.components, flags)]}
+    aggregate = None
+    if p.n % 2 == 1:
+        aggregate = pat.aggregate_odd(p, sigma)
+    elif args.chi_v is not None:
+        parity = pat.cusp_parity_check(p, args.chi_v)
+        fields.append(("cusp_parity", "pass" if parity else "fail"))
+        extra["cusp_parity"] = parity
+        if parity:
+            aggregate = pat.aggregate_even(p, sigma, args.chi_v)
+    if aggregate is not None:
+        fields += zip(("aggregate_lhs", "aggregate_rhs"), aggregate)
+    text = [("component", f"{k} kind={item['kind']} "
+                          f"cusps={item['cusps']} condition="
+                          f"{'pass' if item['condition'] else 'fail'}")
+            for k, item in enumerate(extra["components"])]
+    _emit(fields, args.json, text, extra)
+    return 0 if vf else 1
+
+
+def _cmd_normalize(args) -> int:
+    p, sigma = _load_pattern_and_sigma(args)
     if p.n % 2 == 0:
         if args.chi_v is None:
             raise SchemaError(
@@ -217,7 +216,7 @@ def _cmd_pattern(args) -> int:
 
     if isinstance(result, mv.Obstruction):
         doc = serialize.obstruction_to_json(result)
-        fields = [("status", "obstruction")]
+        fields: list[tuple[str, Any]] = [("status", "obstruction")]
         text = [("kind", result.kind)] + [
             (f"witness.{key}", result.witness[key])
             for key in sorted(result.witness)]
@@ -230,8 +229,8 @@ def _cmd_pattern(args) -> int:
                   ("components", len(result.final.components)),
                   ("cusps", result.final.total_cusps)]
         text = []
-        extra = {} if args.out else {"trace": doc}
-    if args.out:
+        extra = {"trace": doc} if args.out is None else {}
+    if args.out is not None:
         _write_json_file(args.out, doc)
     _emit(fields, args.json, text, extra, args.out)
     return 1 if isinstance(result, mv.Obstruction) else 0
@@ -252,53 +251,39 @@ def _parse_bump(text: str, what: str) -> nf.PiecewisePoly:
         raise SchemaError(f"{what}: {exc}") from exc
 
 
+def _detect(args, m: nf.LocalMap, grid: nf.GridSpec):
+    """The samples of a fold or cusp model, and their report fields."""
+    samples = nf.detect_singular_set(m, grid, tol=args.tol)
+    return samples, [("samples", len(samples)),
+                     ("cusps", sum(s.kind == "cusp-candidate"
+                                   for s in samples))]
+
+
+def _detect_swallowtail(args, m: nf.LocalMap, grid: nf.GridSpec):
+    samples, counts = _detect(args, m, grid)
+    curve = nf.swallow_tail_singular_curve(args.t, args.n)
+    return samples, [("t", args.t), *counts, ("max_curve_distance", max(
+        (curve.distance_bound(s.point) for s in samples),
+        default=float("nan")))]
+
+
+def _detect_perturbed_fold(args, m: nf.LocalMap, grid: nf.GridSpec):
+    r = nf.perturbed_fold_image(m.kind.index, args.n, m.kind.alpha,
+                                m.kind.beta, tol=args.tol, grid=grid)
+    keys = "sup_product samples max_axis_distance max_image_error ok"
+    return r.detected, [(key, getattr(r, key)) for key in keys.split()]
+
+
 def _cmd_trace(args) -> int:
-    kind = args.kind
-    n = args.n
-    tol = args.tol
-    fields: list[tuple[str, Any]] = [("kind", kind), ("n", n)]
-
-    if kind == "perturbed-fold":
-        alpha = _parse_bump(args.alpha, "--alpha")
-        beta = _parse_bump(args.beta, "--beta")
-        model = nf.PerturbedFold(args.i, alpha, beta)
-    elif kind == "swallowtail":
-        model = nf.SwallowTail(args.t)
-        fields.append(("t", args.t))
-    elif kind == "fold":
-        model = nf.Fold(args.i)
-    else:
-        model = nf.Cusp(args.k)
-    m = nf.LocalMap(n, model)
-    grid = nf.GridSpec.parse(args.grid) if args.grid else nf.default_grid(m)
-
-    if kind == "perturbed-fold":
-        report = nf.perturbed_fold_image(args.i, n, alpha, beta, tol=tol,
-                                         grid=grid)
-        samples = report.detected
-        fields += [("sup_product", report.sup_product),
-                   ("samples", report.samples),
-                   ("max_axis_distance", report.max_axis_distance),
-                   ("max_image_error", report.max_image_error),
-                   ("ok", report.ok)]
-    else:
-        samples = nf.detect_singular_set(m, grid, tol=tol)
-        fields += [("samples", len(samples)),
-                   ("cusps", sum(s.kind == "cusp-candidate"
-                                 for s in samples))]
-    if kind == "swallowtail":
-        curve = nf.swallow_tail_singular_curve(args.t, n)
-        fields.append(("max_curve_distance", max(
-            (curve.distance_bound(s.point) for s in samples),
-            default=float("nan"))))
-
-    if args.csv:
-        artifact = nf.samples_to_csv(samples)
-    else:
-        artifact = nf.render_svg([nf.singular_value_curve(m, samples)])
-    extra = {"tol": tol, "format": "csv" if args.csv else "svg",
+    m = nf.LocalMap(args.n, args.model(args))
+    grid = (nf.default_grid(m) if args.grid is None
+            else nf.GridSpec.parse(args.grid))
+    samples, found = args.detect(args, m, grid)
+    artifact = (nf.samples_to_csv(samples) if args.csv else
+                nf.render_svg([nf.singular_value_curve(m, samples)]))
+    extra = {"tol": args.tol, "format": "csv" if args.csv else "svg",
              "grid": [list(axis) for axis in grid.axes]}
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(artifact)
     elif args.json:
@@ -306,7 +291,8 @@ def _cmd_trace(args) -> int:
     else:
         sys.stdout.write(artifact)
         return 0
-    _emit(fields, args.json, extra=extra, out=args.out)
+    _emit([("kind", args.kind), ("n", args.n), *found], args.json,
+          extra=extra, out=args.out)
     return 0
 
 
@@ -316,10 +302,10 @@ def _cmd_trace(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # a dash before a digit (or before a point and a digit) starts a
-        # value, as in --t -2.5e-1 or --grid -1:1:3,...; no option of the
-        # tool starts with a digit
+        # full option names only: a prefix could name another option
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+        # a dash before a digit, or before a point and a digit, starts a
+        # value (--t -2.5e-1, --grid -1:1:3,...); no option starts so
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
@@ -368,43 +354,57 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ext.add_argument("file", help="descriptor JSON file")
     p_ext.set_defaults(func=_cmd_extendable)
 
-    p_pat = sub.add_parser("pattern", parents=[common],
-                           help="validate, check, or normalize a singular "
-                                "pattern")
-    p_pat.add_argument("action", choices=("validate", "check", "normalize"))
-    p_pat.add_argument("file", help="pattern JSON file")
-    p_pat.add_argument("--sigma", help="sign assignment JSON file")
-    p_pat.add_argument("--chi-v", type=int, dest="chi_v",
-                       help="Euler characteristic of the ambient manifold")
-    p_pat.add_argument("--out", help="write the move trace or obstruction "
-                                     "JSON here")
-    p_pat.set_defaults(func=_cmd_pattern)
+    p_pat = sub.add_parser("pattern", help="validate, check, or normalize "
+                                            "a singular pattern")
+    actions = p_pat.add_subparsers(dest="action", required=True)
+    pattern_file = argparse.ArgumentParser(add_help=False, parents=[common])
+    pattern_file.add_argument("file", help="pattern JSON file")
+    actions.add_parser("validate", parents=[pattern_file]).set_defaults(
+        func=_cmd_validate)
+    signed = argparse.ArgumentParser(add_help=False, parents=[pattern_file])
+    signed.add_argument("--sigma", required=True, help="sign assignment JSON")
+    signed.add_argument("--chi-v", type=int, dest="chi_v",
+                        help="Euler characteristic of the ambient manifold "
+                             "(even n only)")
+    actions.add_parser("check", parents=[signed]).set_defaults(func=_cmd_check)
+    p_norm = actions.add_parser("normalize", parents=[signed])
+    p_norm.add_argument("--out", help="write the trace or obstruction here")
+    p_norm.set_defaults(func=_cmd_normalize)
 
-    p_tr = sub.add_parser("trace", parents=[common],
-                          help="detect and render the singular set of a "
-                               "local model")
-    p_tr.add_argument("kind", choices=("swallowtail", "perturbed-fold",
-                                       "fold", "cusp"))
-    p_tr.add_argument("--t", type=_finite_float, default=1.0,
-                      help="family parameter for swallowtail")
-    p_tr.add_argument("--n", type=int, default=3, help="ambient dimension")
-    p_tr.add_argument("--i", type=int, default=0,
-                      help="negative-square count for fold models")
-    p_tr.add_argument("--k", type=int, default=0,
-                      help="negative-square count for the cusp model")
-    p_tr.add_argument("--alpha", default="0:1:0.4",
-                      help="perturbation bump center:radius:height in t")
-    p_tr.add_argument("--beta", default="0:1:1",
-                      help="perturbation bump center:radius:height in |z|^2")
-    p_tr.add_argument("--grid", help="seed grid lo:hi:count per axis, "
-                                     "comma-separated")
-    p_tr.add_argument("--tol", type=_finite_float, default=1e-9,
-                      help="residual tolerance for accepting singular points")
-    p_tr.add_argument("--out", help="write the SVG/CSV artifact here")
-    p_tr.add_argument("--csv", action="store_true",
-                      help="export detected samples as CSV instead of "
-                           "rendering an SVG curve plot")
-    p_tr.set_defaults(func=_cmd_trace)
+    p_tr = sub.add_parser("trace", help="detect and render the singular set "
+                                        "of a local model")
+    kinds = p_tr.add_subparsers(dest="kind", required=True)
+    shared = argparse.ArgumentParser(add_help=False, parents=[common])
+    shared.add_argument("--n", type=int, default=3, help="ambient dimension")
+    shared.add_argument("--grid", help="seed grid lo:hi:count per axis, "
+                                       "comma-separated")
+    shared.add_argument("--tol", type=_finite_float, default=1e-9,
+                        help="residual tolerance for singular points")
+    shared.add_argument("--out", help="write the SVG/CSV artifact here")
+    shared.add_argument("--csv", action="store_true",
+                        help="write the samples as CSV, not an SVG plot")
+    shared.set_defaults(func=_cmd_trace, detect=_detect)
+    fold_index = argparse.ArgumentParser(add_help=False)
+    fold_index.add_argument("--i", type=int, default=0, help="fold index")
+
+    st = kinds.add_parser("swallowtail", parents=[shared])
+    st.add_argument("--t", type=_finite_float, default=1.0,
+                    help="family parameter")
+    st.set_defaults(model=lambda a: nf.SwallowTail(a.t),
+                    detect=_detect_swallowtail)
+    pf = kinds.add_parser("perturbed-fold", parents=[shared, fold_index])
+    pf.add_argument("--alpha", default="0:1:0.4",
+                    help="perturbation bump center:radius:height in t")
+    pf.add_argument("--beta", default="0:1:1",
+                    help="perturbation bump center:radius:height in |z|^2")
+    pf.set_defaults(model=lambda a: nf.PerturbedFold(
+        a.i, _parse_bump(a.alpha, "--alpha"), _parse_bump(a.beta, "--beta")),
+        detect=_detect_perturbed_fold)
+    kinds.add_parser("fold", parents=[shared, fold_index]).set_defaults(
+        model=lambda a: nf.Fold(a.i))
+    cusp = kinds.add_parser("cusp", parents=[shared])
+    cusp.add_argument("--k", type=int, default=0, help="cusp index")
+    cusp.set_defaults(model=lambda a: nf.Cusp(a.k))
 
     return parser
 

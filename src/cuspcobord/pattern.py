@@ -232,23 +232,23 @@ def _check_laws(p: SingularPattern) -> ValidationReport:
                     "arc-index-range",
                     f"{where}: arc {e.id!r} has tau={e.tau}, outside "
                     f"[{lo}, {hi}]"))
-        for e in seq[1::2]:
+        transitions: list[Violation] = []
+        for pos in range(1, len(seq), 2):
+            e = seq[pos]
             if not 0 <= e.normal_index <= p.n - 2:
                 out.append(Violation(
                     "cusp-index-range",
                     f"{where}: cusp {e.id!r} has I={e.normal_index}, "
                     f"outside [0, {p.n - 2}]"))
-        for pos in range(1, len(seq), 2):
-            e = seq[pos]
-            if not 0 <= e.normal_index <= p.n - 2:
                 continue
             left, right = _abutting_arcs(comp, pos)
             if not _transition_ok(e, left, right, p.n):
-                out.append(Violation(
+                transitions.append(Violation(
                     "cusp-transition",
                     f"{where}: cusp {e.id!r} (I={e.normal_index}, "
                     f"tau={e.tau(p.n)}) abuts arcs of indices "
                     f"{left.tau} and {right.tau}"))
+        out += transitions  # after all of the component's range faults
 
         if comp.kind == CIRCLE:
             if comp.endpoints is not None:

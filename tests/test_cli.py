@@ -168,6 +168,17 @@ class TestExitCodes:
         ["pattern", "normalize", "corpus/two_intervals_n2.json", "--sigma",
          "corpus/sigma_pp_pp.json", "--chi-v", "0", "--assume-removable"],
         ["trace", "fold", "--n", "2", "--svg"],
+        # an option of another action or kind
+        ["pattern", "validate", "corpus/interval_0cusp.json", "--sigma",
+         "corpus/sigma_pm.json"],
+        ["pattern", "check", "corpus/interval_0cusp.json", "--sigma",
+         "corpus/sigma_pm.json", "--out", "x.json"],
+        ["trace", "swallowtail", "--i", "1"],
+        ["trace", "fold", "--t", "2"],
+        ["trace", "cusp", "--alpha", "0:1:0.4"],
+        ["trace", "perturbed-fold", "--n", "2", "--k", "1"],
+        # a prefix of --tol
+        ["trace", "fold", "--to", "2"],
     ])
     def test_removed_options_are_usage_errors(self, argv, capsys):
         argv = [str(REPO_ROOT / a) if a.startswith("corpus/") else a
@@ -177,6 +188,51 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: cuspcobord: unrecognized")
         assert captured.err.count("\n") == 1
+
+    def test_every_foreign_option_is_refused(self, capsys):
+        pattern = [_corpus("interval_0cusp.json")]
+        sigma = ["--sigma", _corpus("sigma_pm.json")]
+        foreign = [(["pattern", "validate", *pattern], option)
+                   for option in (sigma, ["--chi-v", "1"], ["--out", "x"])]
+        foreign.append((["pattern", "check", *pattern, *sigma],
+                        ["--out", "x"]))
+        own = {"swallowtail": {"--t"}, "fold": {"--i"}, "cusp": {"--k"},
+               "perturbed-fold": {"--i", "--alpha", "--beta"}}
+        values = {"--t": "2", "--i": "1", "--k": "1", "--alpha": "0:1:0.4",
+                  "--beta": "0:1:1"}
+        foreign += [(["trace", kind, "--n", "2"], [flag, value])
+                    for kind in own for flag, value in values.items()
+                    if flag not in own[kind]]
+        assert len(foreign) == 18
+        for command, option in foreign:
+            assert main(command + option) == 2, option
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error: cuspcobord: unrecognized "
+                                    f"arguments: {' '.join(option)}\n")
+
+    @pytest.mark.parametrize("action", ["check", "normalize"])
+    def test_chi_v_is_refused_in_odd_dimension(self, action, capsys):
+        assert main(["pattern", action, _corpus("two_intervals_n3.json"),
+                     "--sigma", _corpus("sigma_pp_pp.json"),
+                     "--chi-v", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --chi-v applies only to even n, not n=3\n")
+
+    def test_empty_out_path_is_not_absent(self, capsys):
+        assert main(["pattern", "normalize", _corpus("two_intervals_n3.json"),
+                     "--sigma", _corpus("sigma_pp_pp.json"), "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
+    def test_empty_grid_is_not_absent(self, capsys):
+        assert main(["trace", "fold", "--n", "2", "--grid", "", "--csv"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: axis spec '' is not of the form lo:hi:count\n")
 
     @pytest.mark.parametrize("flag", ["--t", "--tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -433,6 +489,26 @@ class TestPatternJson:
             {"code": "cusp-transition",
              "message": "component 0: cusp 'c1' (I=0, tau=1) abuts arcs "
                         "of indices 1 and 5"}]
+
+    def test_validate_reports_range_before_an_earlier_transition(
+            self, tmp_path, capsys):
+        # one circle at n = 3: cusp c0 abuts two arcs of index 1, and the
+        # later cusp c1 has I outside [0, 1]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 3, "components": [{
+            "kind": "circle", "sequence": [
+                {"arc": {"id": "a0", "tau": 1}},
+                {"cusp": {"id": "c0", "I": 0}},
+                {"arc": {"id": "a1", "tau": 1}},
+                {"cusp": {"id": "c1", "I": 7}}]}]}))
+        code, payload = self.run(capsys, "validate", str(path))
+        assert code == 1
+        assert payload["violations"] == [
+            {"code": "cusp-index-range",
+             "message": "component 0: cusp 'c1' has I=7, outside [0, 1]"},
+            {"code": "cusp-transition",
+             "message": "component 0: cusp 'c0' (I=0, tau=1) abuts arcs "
+                        "of indices 1 and 1"}]
 
     def test_validate_invalid(self, capsys):
         code, payload = self.run(capsys, "validate",

@@ -68,11 +68,6 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _json_text(obj: Any) -> str:
-    """The tool's one JSON encoding, for stdout and for written files."""
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-
-
 def _json_value(value: Any) -> Any:
     # exact rationals travel as strings, and JSON has no NaN
     if isinstance(value, Fraction):
@@ -96,7 +91,9 @@ def _emit(fields: list[tuple[str, Any]], as_json: bool,
     if as_json:
         obj = {key: _json_value(value) for key, value in fields + tail}
         obj.update(extra or {})
-        print(_json_text(obj))
+        # the tool's one JSON encoding, streamed as _write_json_file does
+        json.dump(obj, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
+        sys.stdout.write("\n")
     else:
         for key, value in [*fields, *text, *tail]:
             print(f"{key}={_fmt(value)}")
@@ -104,7 +101,8 @@ def _emit(fields: list[tuple[str, Any]], as_json: bool,
 
 def _write_json_file(path: str, obj: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(obj) + "\n")
+        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _load_valid_descriptor(path: str):

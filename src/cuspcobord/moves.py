@@ -128,8 +128,8 @@ class _NamePool:
 
     ``live`` holds the live ids (a run's element index).  Names from
     ``top`` up are tested against it; ``free`` is a heap of the numbers
-    below ``top`` whose names were released since; ``given`` maps each name
-    handed out and not released since to its number.
+    below ``top`` whose names were released since.  Every name handed out
+    matches ``_NUMBERED``, which reads its number back when it is freed.
     """
 
     def __init__(self, prefix: str, live: Container[str]):
@@ -137,20 +137,16 @@ class _NamePool:
         self.live = live
         self.free: list[int] = []
         self.top = 0
-        self.given: dict[str, int] = {}
 
     def take(self) -> str:
         if self.free:
-            k = heapq.heappop(self.free)
+            return f"{self.prefix}{heapq.heappop(self.free)}"
+        k = self.top
+        name = f"{self.prefix}{k}"
+        while name in self.live:
+            k += 1
             name = f"{self.prefix}{k}"
-        else:
-            k = self.top
-            name = f"{self.prefix}{k}"
-            while name in self.live:
-                k += 1
-                name = f"{self.prefix}{k}"
-            self.top = k + 1
-        self.given[name] = k
+        self.top = k + 1
         return name
 
     def release(self, k: int) -> None:
@@ -249,13 +245,8 @@ class _State:
         self._index(words)
         for eid in freed:
             del self.home[eid]
-            pool = self.names.get(eid[:1])
-            # a name a pool handed out in this run needs no parse
-            k = pool.given.pop(eid, None) if pool else None
-            if k is None and (m := _NUMBERED.fullmatch(eid)):
-                k = int(m[2])
-            if k is not None:
-                pool.release(k)
+            if m := _NUMBERED.fullmatch(eid):
+                self.names[m[1]].release(int(m[2]))
         return words
 
     def pattern(self) -> SingularPattern:
@@ -272,21 +263,18 @@ def _budget_error() -> PreconditionError:
 
 
 def _record(s: _State, move: Move) -> None:
-    """Record one atomic move of the run.  Both moves record themselves
-    here, so here the run's budget is kept."""
+    """Record one atomic move of the run, replayed or not.  Both moves
+    record themselves here, so here the run's budget is kept."""
     if len(s.moves) >= MAX_MOVES:
         raise _budget_error()
     s.moves.append(move)
 
 
-def _create(s: _State, arc_id: str, i: int, flip: bool = False,
-            move: Optional[Move] = None
+def _create(s: _State, arc_id: str, i: int, flip: bool = False
             ) -> tuple[str, str, str, Optional[str]]:
     """Create the pair; returns the ids of the two cusps, the inner arc and
-    the new right arc (None on a bare circle, whose arc is not split).  A
-    replayed ``move`` is recorded as given."""
-    _record(s, move or Move("create_cusp_pair",
-                            {"arc": arc_id, "i": i, "flip": flip}))
+    the new right arc (None on a bare circle, whose arc is not split)."""
+    _record(s, Move("create_cusp_pair", {"arc": arc_id, "i": i, "flip": flip}))
     n = s.n
     if not 0 <= i <= n - 2:
         raise PreconditionError(f"cusp index i={i} outside [0, {n - 2}]")
@@ -411,42 +399,47 @@ def _fused_ends(at1: tuple, at2: tuple, reconnection: str):
     raise PreconditionError(f"unknown reconnection {reconnection!r}")
 
 
+def _matching_pair(s: _State, c1_id: str, c2_id: str) -> tuple:
+    """Each cusp's (word, position), once the two ids name two distinct
+    cusps whose normal indices sum to n-2."""
+    if c1_id == c2_id:
+        raise PreconditionError("need two distinct cusps")
+    w1, pos1, cusp1 = s.find(c1_id, Cusp)
+    w2, pos2, cusp2 = s.find(c2_id, Cusp)
+    if cusp1.normal_index + cusp2.normal_index != s.n - 2:
+        raise PreconditionError(
+            f"cusps {c1_id!r} (I={cusp1.normal_index}) and {c2_id!r} "
+            f"(I={cusp2.normal_index}) are not a matching pair for n={s.n}")
+    return (w1, pos1), (w2, pos2)
+
+
 def legal_reconnections(p: SingularPattern, c1_id: str,
                         c2_id: str) -> tuple[str, ...]:
-    """Reconnection choices that fuse arcs of equal absolute index only."""
+    """The reconnections ``eliminate_matching_pair(p, c1_id, c2_id, recon,
+    assume_removable=True)`` accepts: those fusing arcs of equal index only.
+    For an invalid pattern or a repeated, missing or non-matching cusp it
+    raises the elimination's own ``PreconditionError``."""
     _require(p)
-    s = _State(p)
-    at1, at2 = (s.find(c_id, Cusp)[:2] for c_id in (c1_id, c2_id))
+    at1, at2 = _matching_pair(_State(p), c1_id, c2_id)
     return tuple(recon for recon in (STAY, SPLIT)
                  if all(a.tau == b.tau for (_, a), (_, b)
                         in _fused_ends(at1, at2, recon)))
 
 
 def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
-               assume_removable: bool,
-               move: Optional[Move] = None) -> list[_Word]:
+               assume_removable: bool) -> list[_Word]:
     """Eliminate the pair; returns the words it leaves in place of the ones
     it cut (intervals first, then circles).  The drivers vouch for
-    removability in dimension 2 themselves (``s.n == 2``).  A replayed
-    ``move`` is recorded as given."""
-    _record(s, move or Move("eliminate_matching_pair", {
+    removability in dimension 2 themselves (``s.n == 2``)."""
+    _record(s, Move("eliminate_matching_pair", {
         "cusp1": c1_id, "cusp2": c2_id, "reconnection": reconnection,
         "assume_removable": assume_removable}))
-    if c1_id == c2_id:
-        raise PreconditionError("need two distinct cusps")
-    n = s.n
-    w1, pos1, cusp1 = s.find(c1_id, Cusp)
-    w2, pos2, cusp2 = s.find(c2_id, Cusp)
-    if cusp1.normal_index + cusp2.normal_index != n - 2:
-        raise PreconditionError(
-            f"cusps {c1_id!r} (I={cusp1.normal_index}) and {c2_id!r} "
-            f"(I={cusp2.normal_index}) are not a matching pair for n={n}")
-    if n == 2 and not assume_removable:
+    at1, at2 = _matching_pair(s, c1_id, c2_id)
+    if s.n == 2 and not assume_removable:
         raise PreconditionError(
             "eliminations in ambient dimension 2 need assume_removable=True")
     fusions = []
-    for (end1, a), (end2, b) in _fused_ends((w1, pos1), (w2, pos2),
-                                            reconnection):
+    for (end1, a), (end2, b) in _fused_ends(at1, at2, reconnection):
         if a.tau != b.tau:
             raise PreconditionError(
                 f"reconnection {reconnection!r} would fuse arcs "
@@ -454,6 +447,7 @@ def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
                 f"unequal index")
         fusions.append((end1, end2))
 
+    (w1, pos1), (w2, pos2) = at1, at2
     if w1 is w2:
         cuts = [(w1, sorted([(pos1, 0), (pos2, 2)]))]
     elif s.order.index(w1) < s.order.index(w2):
@@ -486,11 +480,11 @@ def _apply(s: _State, move: Move):
     k, params = move.kind, move.params
     if k == "create_cusp_pair":
         return _create(s, params["arc"], params["i"],
-                       params.get("flip", False), move)
+                       params.get("flip", False))
     if k == "eliminate_matching_pair":
         return _eliminate(s, params["cusp1"], params["cusp2"],
                           params.get("reconnection", STAY),
-                          params.get("assume_removable", False), move)
+                          params.get("assume_removable", False))
     raise PreconditionError(f"unknown move kind {k!r}")
 
 

@@ -119,12 +119,6 @@ class Component:
         if self.kind not in (CIRCLE, INTERVAL):
             raise ValueError(f"unknown component kind {self.kind!r}")
 
-    def arcs(self) -> tuple[FoldArc, ...]:
-        return tuple(e for e in self.sequence if isinstance(e, FoldArc))
-
-    def cusps(self) -> tuple[Cusp, ...]:
-        return tuple(e for e in self.sequence if isinstance(e, Cusp))
-
     @functools.cached_property
     def cusp_count(self) -> int:
         # exact for any word, an invalid one included; kept on the object

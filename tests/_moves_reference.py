@@ -212,8 +212,22 @@ def _fusion_plan(p: SingularPattern, c1_id: str, c2_id: str,
     return (ci1, ci2), arc_pairs, label_pairs
 
 
+def _matching_pair(p: SingularPattern, c1_id: str, c2_id: str) -> None:
+    if c1_id == c2_id:
+        raise PreconditionError("need two distinct cusps")
+    ci1, pos1 = _locate(p, c1_id, Cusp)
+    ci2, pos2 = _locate(p, c2_id, Cusp)
+    cusp1 = p.components[ci1].sequence[pos1]
+    cusp2 = p.components[ci2].sequence[pos2]
+    if cusp1.normal_index + cusp2.normal_index != p.n - 2:
+        raise PreconditionError(
+            f"cusps {c1_id!r} (I={cusp1.normal_index}) and {c2_id!r} "
+            f"(I={cusp2.normal_index}) are not a matching pair for n={p.n}")
+
+
 def legal_reconnections(p: SingularPattern, c1_id: str,
                         c2_id: str) -> tuple[str, ...]:
+    _matching_pair(p, c1_id, c2_id)
     out = []
     for recon in (STAY, SPLIT):
         _, arc_pairs, _ = _fusion_plan(p, c1_id, c2_id, recon)
@@ -224,21 +238,12 @@ def legal_reconnections(p: SingularPattern, c1_id: str,
 
 def _eliminate(p: SingularPattern, c1_id: str, c2_id: str,
                reconnection: str, assume_removable: bool) -> SingularPattern:
-    if c1_id == c2_id:
-        raise PreconditionError("need two distinct cusps")
-    n = p.n
-    ci1, pos1 = _locate(p, c1_id, Cusp)
-    ci2, pos2 = _locate(p, c2_id, Cusp)
-    cusp1 = p.components[ci1].sequence[pos1]
-    cusp2 = p.components[ci2].sequence[pos2]
-    if cusp1.normal_index + cusp2.normal_index != n - 2:
-        raise PreconditionError(
-            f"cusps {c1_id!r} (I={cusp1.normal_index}) and {c2_id!r} "
-            f"(I={cusp2.normal_index}) are not a matching pair for n={n}")
-    if n == 2 and not assume_removable:
+    _matching_pair(p, c1_id, c2_id)
+    if p.n == 2 and not assume_removable:
         raise PreconditionError(
             "eliminations in ambient dimension 2 need assume_removable=True")
-    _, arc_pairs, label_pairs = _fusion_plan(p, c1_id, c2_id, reconnection)
+    (ci1, ci2), arc_pairs, label_pairs = _fusion_plan(p, c1_id, c2_id,
+                                                      reconnection)
     for a, b in arc_pairs:
         if a.tau != b.tau:
             raise PreconditionError(
@@ -285,7 +290,7 @@ def _ladder_to(p, comp_idx, target_tau, moves):
     n = p.n
     while True:
         comp = cur.components[comp_idx]
-        arcs = comp.arcs()
+        arcs = comp.sequence[::2]
         if any(a.tau == target_tau for a in arcs):
             return cur
         tmin = min(a.tau for a in arcs)
@@ -298,7 +303,7 @@ def _toggle_parity(p, comp_idx, moves):
     target = p.n // 2
     cur = _ladder_to(p, comp_idx, target, moves)
     comp = cur.components[comp_idx]
-    arc_a = next(a for a in comp.arcs() if a.tau == target)
+    arc_a = next(a for a in comp.sequence[::2] if a.tau == target)
     cur, info1 = _do_create(cur, moves, arc_a.id, target - 1)
     cur, info2 = _do_create(cur, moves, info1["right_arc"], target - 1)
     return _do_eliminate(cur, moves, info1["cusp1"], info2["cusp1"], SPLIT)
@@ -322,9 +327,9 @@ def _merge(p, idx_a, idx_b, moves, endpoint_a=None, endpoint_b=None):
     t = (n - 1) // 2
     cur = _ladder_to(p, idx_a, t, moves)
     cur = _ladder_to(cur, idx_b, t, moves)
-    arc_a = next(a for a in cur.components[idx_a].arcs() if a.tau == t)
+    arc_a = next(a for a in cur.components[idx_a].sequence[::2] if a.tau == t)
     cur, info_a = _do_create(cur, moves, arc_a.id, t)
-    arc_b = next(a for a in cur.components[idx_b].arcs() if a.tau == t)
+    arc_b = next(a for a in cur.components[idx_b].sequence[::2] if a.tau == t)
     cur, info_b = _do_create(cur, moves, arc_b.id, t, flip)
     ca = info_a["cusp2"]
     cb = info_b["cusp2"] if flip else info_b["cusp1"]
@@ -333,7 +338,7 @@ def _merge(p, idx_a, idx_b, moves, endpoint_a=None, endpoint_b=None):
 
 def _first_exceptional_cusp(comp: Component, n: int) -> Cusp:
     want = (n - 2) // 2
-    return next(c for c in comp.cusps() if c.normal_index == want)
+    return next(c for c in comp.sequence[1::2] if c.normal_index == want)
 
 
 def normalize_even(p: SingularPattern, sigma: SignAssignment,
@@ -372,7 +377,7 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
         if n == 2:
             at = min(i1, i2)
             while cur.components[at].cusp_count:
-                cusps = cur.components[at].cusps()
+                cusps = cur.components[at].sequence[1::2]
                 cur = _do_eliminate(cur, moves, cusps[0].id, cusps[1].id,
                                     STAY)
 

@@ -19,7 +19,7 @@ from cuspcobord.pattern import (
 def legal_creates(p: SingularPattern) -> list[tuple]:
     out = []
     for comp in p.components:
-        for arc in comp.arcs():
+        for arc in comp.sequence[::2]:
             for i in range(p.n - 1):
                 if max(i, p.n - 1 - i) == arc.tau:
                     for flip in (False, True):
@@ -29,7 +29,7 @@ def legal_creates(p: SingularPattern) -> list[tuple]:
 
 def legal_eliminations(p: SingularPattern) -> list[tuple]:
     out = []
-    cusps = [e for comp in p.components for e in comp.cusps()]
+    cusps = [e for comp in p.components for e in comp.sequence[1::2]]
     for k, e1 in enumerate(cusps):
         for e2 in cusps[k + 1:]:
             if e1.normal_index + e2.normal_index != p.n - 2:

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -433,6 +434,27 @@ class TestNormalizeOutputs:
         with open(out, encoding="utf-8") as fh:
             trace = trace_from_json(json.load(fh))
         assert replay(trace) == trace.final
+
+    def test_a_trace_file_is_streamed(self, tmp_path):
+        # the n = 6,401 two-interval ladder: a 4 MB trace document, whose
+        # joined text alone took 29 MB to build
+        from _enumeration import build_pattern
+        from cuspcobord.moves import normalize_odd
+        n = 6401
+        p = build_pattern(n, (("interval", (n - 1,), (), 0, 0),
+                              ("interval", (n - 1,), (), 0, 0)))
+        doc = serialize.trace_to_json(normalize_odd(p, SignAssignment(
+            {"x0": 1, "x1": 1, "x2": -1, "x3": -1})))
+        out = tmp_path / "trace.json"
+        tracemalloc.start()
+        try:
+            cli._write_json_file(str(out), doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert out.read_text(encoding="utf-8") == json.dumps(
+            doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def test_obstruction_report_fields(self, capsys):
         code = main(["pattern", "normalize",

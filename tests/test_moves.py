@@ -47,7 +47,7 @@ from _walk import walk
 
 def cusp_ids(p, comp_idx=None):
     comps = p.components if comp_idx is None else (p.components[comp_idx],)
-    return [c.id for comp in comps for c in comp.cusps()]
+    return [c.id for comp in comps for c in comp.sequence[1::2]]
 
 
 class TestCreate:
@@ -58,8 +58,8 @@ class TestCreate:
         assert comp.kind == CIRCLE
         assert len(comp.sequence) == 4
         assert comp.cusp_count == 2
-        assert all(a.tau == 1 for a in comp.arcs())
-        assert [c.normal_index for c in comp.cusps()] == [0, 0]
+        assert all(a.tau == 1 for a in comp.sequence[::2])
+        assert [c.normal_index for c in comp.sequence[1::2]] == [0, 0]
         assert validate_pattern(q).ok
 
     def test_on_interval_splits_the_arc(self):
@@ -67,14 +67,15 @@ class TestCreate:
         q = create_cusp_pair(p, "a0", 0)
         comp = q.components[0]
         assert comp.kind == INTERVAL
-        assert [a.tau for a in comp.arcs()] == [2, 1, 2]
-        assert [c.normal_index for c in comp.cusps()] == [0, 1]
+        assert [a.tau for a in comp.sequence[::2]] == [2, 1, 2]
+        assert [c.normal_index for c in comp.sequence[1::2]] == [0, 1]
         assert validate_pattern(q).ok
 
     def test_flip_reverses_cusp_order(self):
         p = build_pattern(3, (("interval", (2,), (), 0, 0),))
         q = create_cusp_pair(p, "a0", 0, flip=True)
-        assert [c.normal_index for c in q.components[0].cusps()] == [1, 0]
+        cusps = q.components[0].sequence[1::2]
+        assert [c.normal_index for c in cusps] == [1, 0]
 
     def test_arc_index_must_match(self):
         p = build_pattern(3, (("interval", (1,), (), 1, 1),))
@@ -177,6 +178,46 @@ class TestEliminate:
         assert q.components[0].kind == INTERVAL
         assert q.components[0].cusp_count == 0
         assert q.components[0].endpoints == p.components[0].endpoints
+
+    @staticmethod
+    def _verdicts(p, c1, c2):
+        """What ``legal_reconnections`` answers for the pair, and what
+        elimination does: the reconnections it accepts, or the message when
+        it refuses both for one reason."""
+        try:
+            legal = legal_reconnections(p, c1, c2)
+        except PreconditionError as exc:
+            legal = str(exc)
+        accepted, refusals = [], set()
+        for recon in (STAY, SPLIT):
+            try:
+                eliminate_matching_pair(p, c1, c2, recon,
+                                        assume_removable=True)
+                accepted.append(recon)
+            except PreconditionError as exc:
+                refusals.add(str(exc))
+        if not accepted and len(refusals) == 1:
+            return legal, refusals.pop()
+        return legal, tuple(accepted)
+
+    def test_legal_reconnections_answer_as_elimination_does(self):
+        # every ordered pair of cusps, each with itself included
+        seen = set()
+        for n in range(2, 6):
+            for p in patterns_up_to(n, 2, 2):
+                ids = cusp_ids(p)
+                for c1 in ids:
+                    for c2 in ids:
+                        legal, want = self._verdicts(p, c1, c2)
+                        assert legal == want, (p, c1, c2)
+                        seen.add(type(want))
+        assert seen == {str, tuple}
+
+    def test_legal_reconnections_refuse_a_missing_cusp_alike(self):
+        p = build_pattern(3, (("interval", (2, 1, 2), (0, 1), 0, 0),))
+        for c1, c2 in (("zz", "c0"), ("c0", "zz"), ("a0", "c1")):
+            legal, want = self._verdicts(p, c1, c2)
+            assert legal == want and isinstance(want, str)
 
 
 class TestToggleParity:

@@ -19,8 +19,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from _corpus import run_command  # noqa: E402
-from cuspcobord import generator, reverse  # noqa: E402
-from cuspcobord.morse import MorseDescriptor  # noqa: E402
+from cuspcobord.group import generator  # noqa: E402
+from cuspcobord.morse import MorseDescriptor, reverse  # noqa: E402
 from cuspcobord.serialize import descriptor_to_json  # noqa: E402
 
 CORPUS = ROOT / "corpus"

@@ -5,66 +5,7 @@ boundary data extends over the interior without critical points, and
 manipulates the fold/cusp combinatorics of generic extensions to the
 plane, including constructive normalization with replayable move traces
 and numerically verified local models.
+
+Each public name has one spelling, in the submodule that defines it:
+``from cuspcobord.moves import replay``.
 """
-
-from .errors import CuspCobordError, PreconditionError, SchemaError
-from .group import NoSolution, generator, is_cobordant, \
-    realize_sign_assignment, solve_sigma_for_target
-from .invariants import (
-    CobordismClass,
-    SignAssignment,
-    chi_plus,
-    chi_plus_sigma,
-    cobordism_invariant,
-    euler_odd,
-    morse_van_schaack,
-    signed_defect,
-)
-from .morse import (
-    BoundaryCriticalPoint,
-    InteriorCriticalPoint,
-    MorseDescriptor,
-    ValidationReport,
-    Violation,
-    disjoint_union,
-    euler_boundary_sum,
-    is_stable,
-    reverse,
-    validate,
-)
-from .moves import (
-    SPLIT,
-    STAY,
-    Move,
-    MoveTrace,
-    Obstruction,
-    apply_move,
-    create_cusp_pair,
-    eliminate_matching_pair,
-    legal_reconnections,
-    merge_components,
-    normalize_even,
-    normalize_odd,
-    replay,
-    toggle_parity,
-)
-from .pattern import (
-    CIRCLE,
-    INTERVAL,
-    Component,
-    Cusp,
-    FoldArc,
-    SingularPattern,
-    aggregate_even,
-    aggregate_odd,
-    check_condition_even,
-    check_condition_odd,
-    cusp_parity_check,
-    cusp_tau,
-    endpoint_tau,
-    fold_tau_range,
-    validate_pattern,
-    vector_field_exists,
-)
-
-__version__ = "0.1.0"

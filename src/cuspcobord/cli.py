@@ -259,7 +259,7 @@ def _detect(args, m: nf.LocalMap, grid: nf.GridSpec):
 
 def _detect_swallowtail(args, m: nf.LocalMap, grid: nf.GridSpec):
     samples, counts = _detect(args, m, grid)
-    curve = nf.swallow_tail_singular_curve(args.t, args.n)
+    curve = nf.SwallowTailCurve(args.n, args.t)
     return samples, [("t", args.t), *counts, ("max_curve_distance", max(
         (curve.distance_bound(s.point) for s in samples),
         default=float("nan")))]

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["CuspCobordError", "SchemaError", "PreconditionError"]
+
 
 class CuspCobordError(Exception):
     """Base class for all package errors."""

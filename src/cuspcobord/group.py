@@ -8,26 +8,15 @@ points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .invariants import (
-    CobordismClass,
-    SignAssignment,
-    _require_domain,
-    cobordism_invariant,
-)
-from .morse import (
-    BoundaryCriticalPoint,
-    MorseDescriptor,
-    euler_boundary_sum,
-    validate,
-)
+from .invariants import CobordismClass, SignAssignment, cobordism_invariant
+from .morse import BoundaryCriticalPoint, MorseDescriptor
 
 __all__ = [
     "is_cobordant",
     "generator",
-    "realize_sign_assignment",
     "NoSolution",
     "solve_sigma_for_target",
 ]
@@ -56,24 +45,6 @@ def generator(n: int) -> MorseDescriptor:
         chi_boundary=1 + (-1) ** (n - 1),
         boundary=boundary,
     )
-
-
-def realize_sign_assignment(boundary: tuple[BoundaryCriticalPoint, ...],
-                            sigma: SignAssignment,
-                            n: int,
-                            chi_M: int) -> MorseDescriptor:
-    """Descriptor with the given boundary points re-signed by ``sigma``.
-
-    The stored signs on the points are overwritten; the interior is left
-    without critical points.  The result must validate.
-    """
-    _require_domain(boundary, sigma)
-    signed = tuple(replace(p, sigma=sigma.sign(p.id)) for p in boundary)
-    d = MorseDescriptor(n=n, oriented=True, chi_M=chi_M,
-                        chi_boundary=euler_boundary_sum(signed),
-                        boundary=signed)
-    validate(d).require("realized descriptor")
-    return d
 
 
 @dataclass(frozen=True, slots=True)

@@ -28,8 +28,6 @@ __all__ = [
     "chi_plus_sigma",
     "signed_defect",
     "cobordism_invariant",
-    "morse_van_schaack",
-    "euler_odd",
 ]
 
 
@@ -150,22 +148,3 @@ def signed_defect(chi_P: int,
 def cobordism_invariant(d: MorseDescriptor) -> CobordismClass:
     """The complete cobordism invariant chi_M - chi_plus of a descriptor."""
     return CobordismClass.of(d.n, d.chi_M - chi_plus(d))
-
-
-def morse_van_schaack(n: int, chi_M: int,
-                      boundary: tuple[BoundaryCriticalPoint, ...],
-                      sigma: SignAssignment) -> bool:
-    """Necessary condition for extending the boundary data over the interior
-    without interior critical points: chi_plus must equal chi_M (odd n) or
-    agree with it mod 2 (even n)."""
-    cp = chi_plus_sigma(boundary, sigma)
-    return CobordismClass.of(n, chi_M - cp).value == 0
-
-
-def euler_odd(chi_boundary: int) -> int:
-    """Euler characteristic of an odd-dimensional manifold from its boundary."""
-    if chi_boundary % 2 != 0:
-        raise PreconditionError(
-            f"chi_boundary={chi_boundary} is odd; no closed boundary has "
-            f"odd Euler characteristic in even dimension")
-    return chi_boundary // 2

@@ -29,7 +29,6 @@ __all__ = [
     "validate",
     "disjoint_union",
     "reverse",
-    "is_stable",
     "euler_boundary_sum",
 ]
 
@@ -240,20 +239,3 @@ def reverse(d: MorseDescriptor) -> MorseDescriptor:
         interior=interior,
         boundary=boundary,
     )
-
-
-def is_stable(d: MorseDescriptor) -> bool:
-    """True iff all critical values are present and pairwise distinct.
-
-    Distinct critical values make the function stable under small
-    perturbations; a descriptor with missing values cannot be judged, so
-    that case raises instead of answering.
-    """
-    values: list[Fraction] = []
-    for p in list(d.interior) + list(d.boundary):
-        if p.value is None:
-            raise PreconditionError(
-                f"critical point {p.id!r} has no critical value; "
-                f"stability is undefined")
-        values.append(p.value)
-    return len(set(values)) == len(values)

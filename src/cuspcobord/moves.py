@@ -81,7 +81,6 @@ __all__ = [
     "merge_components",
     "normalize_even",
     "normalize_odd",
-    "apply_move",
     "replay",
 ]
 
@@ -679,14 +678,6 @@ def normalize_odd(p: SingularPattern,
 
     assert all(_odd_ok(w, by_id, sigma) for w in s.order)
     return MoveTrace(p, tuple(s.moves), s.pattern())
-
-
-def apply_move(p: SingularPattern, move: Move) -> SingularPattern:
-    """Replay a single recorded move."""
-    _require(p)
-    s = _State(p)
-    _apply(s, move)
-    return s.pattern()
 
 
 def replay(trace: MoveTrace) -> SingularPattern:

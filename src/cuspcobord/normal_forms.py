@@ -39,9 +39,7 @@ __all__ = [
     "SingularSample",
     "detect_singular_set",
     "SwallowTailCurve",
-    "swallow_tail_singular_curve",
     "perturbation_supremum",
-    "check_perturbation_condition",
     "PerturbedFoldReport",
     "perturbed_fold_image",
     "PlanarCurve",
@@ -406,10 +404,6 @@ class GridSpec:
             axes.append((float(bits[0]), float(bits[1]), int(bits[2])))
         return cls(tuple(axes))
 
-    @classmethod
-    def uniform(cls, lo: float, hi: float, count: int, dims: int) -> "GridSpec":
-        return cls(tuple((lo, hi, count) for _ in range(dims)))
-
     @property
     def size(self) -> int:
         """Number of grid points."""
@@ -726,12 +720,6 @@ class SwallowTailCurve:
         return float(np.linalg.norm(np.asarray(p, dtype=float) - q))
 
 
-def swallow_tail_singular_curve(t: float, n: int = 3,
-                                index: int = 0) -> SwallowTailCurve:
-    """The analytic singular curve of SwallowTail(t) in dimension n."""
-    return SwallowTailCurve(n, t, index)
-
-
 # ---------------------------------------------------------------------------
 # perturbation condition and verified image
 
@@ -748,13 +736,6 @@ def perturbation_supremum(alpha: PiecewisePoly, beta: PiecewisePoly) -> float:
                 f"{name} must be a compactly supported piecewise polynomial; "
                 f"arbitrary callables may have unbounded support")
     return alpha.max_abs() * beta.derivative().max_abs()
-
-
-def check_perturbation_condition(alpha: PiecewisePoly,
-                                 beta: PiecewisePoly) -> bool:
-    """Whether |alpha(t) * beta'(r)| stays below 1 - PERTURBATION_MARGIN,
-    judged on the exact supremum."""
-    return perturbation_supremum(alpha, beta) < 1.0 - PERTURBATION_MARGIN
 
 
 @dataclass(frozen=True, slots=True)
@@ -840,7 +821,7 @@ def singular_value_curve(m: LocalMap,
         xs = [s.point[1] for s in samples]
         pad = 0.1 * (max(xs) - min(xs) or 1.0) if xs else 0.0
         xlo, xhi = (min(xs) - pad, max(xs) + pad) if xs else (-2.0, 2.0)
-        curve = swallow_tail_singular_curve(k.t, m.n)
+        curve = SwallowTailCurve(m.n, k.t)
         points = [curve.image_point(x)
                   for x in np.linspace(xlo, xhi, 401).tolist()]
     elif isinstance(k, Fold):

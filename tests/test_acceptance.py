@@ -267,7 +267,7 @@ def test_criterion_8_numeric_normal_forms():
 
     for t in (1.0, 0.25, -1.0, -0.25):
         m = nf.LocalMap(3, nf.SwallowTail(t))
-        curve = nf.swallow_tail_singular_curve(t, 3)
+        curve = nf.SwallowTailCurve(3, t)
         samples = nf.detect_singular_set(m, grid, tol=1e-9)
         assert samples, f"t={t}: detector found nothing"
         worst = max(curve.distance_bound(s.point) for s in samples)

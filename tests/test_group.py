@@ -5,21 +5,24 @@ from itertools import product
 
 import pytest
 
-from cuspcobord import (
-    BoundaryCriticalPoint,
-    CobordismClass,
-    MorseDescriptor,
+from cuspcobord.errors import PreconditionError
+from cuspcobord.group import (
     NoSolution,
-    PreconditionError,
+    generator,
+    is_cobordant,
+    solve_sigma_for_target,
+)
+from cuspcobord.invariants import (
+    CobordismClass,
     SignAssignment,
     chi_plus_sigma,
     cobordism_invariant,
+)
+from cuspcobord.morse import (
+    BoundaryCriticalPoint,
+    MorseDescriptor,
     disjoint_union,
-    generator,
-    is_cobordant,
-    realize_sign_assignment,
     reverse,
-    solve_sigma_for_target,
     validate,
 )
 
@@ -78,21 +81,6 @@ class TestIsCobordant:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
             is_cobordant(MorseDescriptor.empty(2), MorseDescriptor.empty(4))
-
-
-class TestRealize:
-    def test_overrides_signs_and_validates(self):
-        pts = (BoundaryCriticalPoint("x0", 0, 1),
-               BoundaryCriticalPoint("x1", 1, 1))
-        sigma = SignAssignment({"x0": 1, "x1": -1})
-        d = realize_sign_assignment(pts, sigma, n=2, chi_M=1)
-        assert [p.sigma for p in d.boundary] == [1, -1]
-        assert validate(d).ok
-
-    def test_domain_mismatch_rejected(self):
-        pts = (BoundaryCriticalPoint("x0", 0, 1),)
-        with pytest.raises(PreconditionError):
-            realize_sign_assignment(pts, SignAssignment({"y": 1}), 2, 0)
 
 
 class TestSolver:

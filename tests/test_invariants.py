@@ -9,21 +9,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuspcobord import (
-    BoundaryCriticalPoint,
+from cuspcobord.errors import PreconditionError
+from cuspcobord.invariants import (
     CobordismClass,
-    MorseDescriptor,
-    PreconditionError,
     SignAssignment,
     chi_plus,
     chi_plus_sigma,
     cobordism_invariant,
+    signed_defect,
+)
+from cuspcobord.morse import (
+    BoundaryCriticalPoint,
+    MorseDescriptor,
     disjoint_union,
     euler_boundary_sum,
-    euler_odd,
-    morse_van_schaack,
     reverse,
-    signed_defect,
 )
 from cuspcobord.serialize import descriptor_from_json
 
@@ -161,30 +161,3 @@ class TestInvariant:
                             boundary=(bp("x0", 0),))
         with pytest.raises(PreconditionError):
             cobordism_invariant(d)
-
-
-class TestExtensionCondition:
-    def test_even_dimension_checks_parity_only(self):
-        pts = (bp("x0", 0), bp("x1", 1))
-        sigma = SignAssignment.from_points(pts)
-        # chi_plus = 0 here: passes for even chi_M, fails for odd
-        assert morse_van_schaack(2, 0, pts, sigma)
-        assert not morse_van_schaack(2, 1, pts, sigma)
-
-    def test_odd_dimension_needs_exact_equality(self):
-        pts = (bp("x0", 0), bp("x1", 2, -1))
-        sigma = SignAssignment.from_points(pts)
-        # chi_plus = 1
-        assert morse_van_schaack(3, 1, pts, sigma)
-        assert not morse_van_schaack(3, -1, pts, sigma)
-
-
-class TestEulerOdd:
-    def test_halves_the_boundary_characteristic(self):
-        assert euler_odd(2) == 1
-        assert euler_odd(0) == 0
-        assert euler_odd(-4) == -2
-
-    def test_odd_boundary_characteristic_rejected(self):
-        with pytest.raises(PreconditionError):
-            euler_odd(3)

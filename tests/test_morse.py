@@ -1,4 +1,4 @@
-"""Descriptor model: validation laws, reversal, disjoint union, stability."""
+"""Descriptor model: validation laws, reversal, disjoint union."""
 
 import dataclasses
 from fractions import Fraction
@@ -7,21 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cuspcobord import (
+from cuspcobord import morse
+from cuspcobord.cli import main
+from cuspcobord.errors import PreconditionError
+from cuspcobord.invariants import chi_plus, cobordism_invariant
+from cuspcobord.morse import (
     BoundaryCriticalPoint,
     InteriorCriticalPoint,
     MorseDescriptor,
-    PreconditionError,
-    chi_plus,
-    cobordism_invariant,
     disjoint_union,
     euler_boundary_sum,
-    is_stable,
     reverse,
     validate,
 )
-from cuspcobord import morse
-from cuspcobord.cli import main
 
 from _corpus import REPO_ROOT
 from _enumeration import random_descriptor
@@ -167,23 +165,6 @@ class TestDisjointUnion:
         d1 = make(oriented=True)
         d2 = make(oriented=False)
         assert not disjoint_union(d1, d2).oriented
-
-
-class TestStability:
-    def test_distinct_values_are_stable(self):
-        d = make(boundary=[bp("x0", 0, 1, Fraction(0)),
-                           bp("x1", 1, 1, Fraction(1))])
-        assert is_stable(d)
-
-    def test_repeated_values_are_not(self):
-        d = make(boundary=[bp("x0", 0, 1, Fraction(1)),
-                           bp("x1", 1, 1, Fraction(1))])
-        assert not is_stable(d)
-
-    def test_missing_values_cannot_be_judged(self):
-        d = make(boundary=[bp("x0", 0), bp("x1", 1)])
-        with pytest.raises(PreconditionError):
-            is_stable(d)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), max_size=8))

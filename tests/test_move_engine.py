@@ -8,9 +8,10 @@ import time
 
 import pytest
 
-from cuspcobord import PreconditionError, SignAssignment
 from cuspcobord import moves as mv
 from cuspcobord.cli import main
+from cuspcobord.errors import PreconditionError
+from cuspcobord.invariants import SignAssignment
 from cuspcobord.morse import BoundaryCriticalPoint
 from cuspcobord.pattern import (
     CIRCLE,

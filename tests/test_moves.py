@@ -7,17 +7,16 @@ from dataclasses import replace
 
 import pytest
 
-from cuspcobord import PreconditionError, SignAssignment
 from cuspcobord import moves as mv
 from cuspcobord import pattern as pat
-from cuspcobord.invariants import chi_plus_sigma
+from cuspcobord.errors import PreconditionError
+from cuspcobord.invariants import SignAssignment, chi_plus_sigma
 from cuspcobord.moves import (
     SPLIT,
     STAY,
     Move,
     MoveTrace,
     Obstruction,
-    apply_move,
     create_cusp_pair,
     eliminate_matching_pair,
     legal_reconnections,
@@ -311,17 +310,19 @@ class TestApplyAndReplay:
     def test_unknown_kind_rejected(self):
         p = build_pattern(2, (("circle", (1,), ()),))
         with pytest.raises(PreconditionError):
-            apply_move(p, Move("teleport", {}))
+            replay(MoveTrace(p, (Move("teleport", {}),), p))
 
     def test_composite_moves_are_not_move_kinds(self):
         # traces record only the atomic moves the composites are built from
         p = build_pattern(2, (("interval", (1,), (), 0, 0),))
         with pytest.raises(PreconditionError):
-            apply_move(p, Move("toggle_parity", {"component": 0}))
+            replay(MoveTrace(p, (Move("toggle_parity", {"component": 0}),),
+                             p))
         r = build_pattern(3, (("circle", (1,), ()), ("circle", (1,), ())))
         with pytest.raises(PreconditionError):
-            apply_move(r, Move("merge_components",
-                               {"component_a": 0, "component_b": 1}))
+            replay(MoveTrace(r, (Move("merge_components",
+                                      {"component_a": 0, "component_b": 1}),),
+                             r))
 
     def test_trace_replays_to_final(self):
         p = build_pattern(2, (("circle", (1,), ()),))
@@ -494,7 +495,6 @@ PUBLIC_ENTRY_POINTS = {
     "legal_reconnections": lambda: legal_reconnections(BAD_ODD, "c0", "c1"),
     "toggle_parity": lambda: toggle_parity(BAD_EVEN, 0),
     "merge_components": lambda: merge_components(BAD_ODD, 0, 1),
-    "apply_move": lambda: apply_move(BAD_ODD, CREATE_A1),
     "replay": lambda: replay(MoveTrace(BAD_ODD, (CREATE_A1,), BAD_ODD)),
     "normalize_odd": lambda: normalize_odd(BAD_ODD, SIGMA_ODD),
     "normalize_even": lambda: normalize_even(BAD_EVEN, SIGMA_EVEN, 0),
@@ -522,7 +522,7 @@ class TestValidationContract:
     def _replay_checking_each_move(trace):
         cur = trace.initial
         for move in trace.moves:
-            cur = apply_move(cur, move)
+            cur = replay(MoveTrace(cur, (move,), cur))
             assert validate_pattern(cur).ok, move
         assert cur == trace.final
 

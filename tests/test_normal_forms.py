@@ -10,6 +10,7 @@ import pytest
 
 from cuspcobord.errors import PreconditionError
 from cuspcobord.normal_forms import (
+    PERTURBATION_MARGIN,
     Cusp,
     Fold,
     GridSpec,
@@ -18,7 +19,7 @@ from cuspcobord.normal_forms import (
     PiecewisePoly,
     PlanarCurve,
     SwallowTail,
-    check_perturbation_condition,
+    SwallowTailCurve,
     default_grid,
     detect_singular_set,
     evaluate,
@@ -28,7 +29,6 @@ from cuspcobord.normal_forms import (
     render_svg,
     samples_to_csv,
     smooth_bump,
-    swallow_tail_singular_curve,
 )
 
 
@@ -250,11 +250,6 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(((0.0, 1.0, 0),))
 
-    def test_uniform(self):
-        g = GridSpec.uniform(-1.0, 1.0, 5, 3)
-        assert len(g.axes) == 3
-        assert g.size == 125
-
 
 def former_default_axes(m):
     """The default seed axes of every model kind, written out longhand as
@@ -327,7 +322,7 @@ class TestDetection:
 
     def test_quartic_family_positive_parameter(self):
         m = LocalMap(3, SwallowTail(1.0))
-        curve = swallow_tail_singular_curve(1.0)
+        curve = SwallowTailCurve(3, 1.0)
         samples = detect_singular_set(m, ST_GRID, tol=1e-9)
         assert len(samples) > 30
         cusps = [s for s in samples if s.kind == "cusp-candidate"]
@@ -344,7 +339,7 @@ class TestDetection:
 
     def test_quartic_family_negative_parameter(self):
         m = LocalMap(3, SwallowTail(-1.0))
-        curve = swallow_tail_singular_curve(-1.0)
+        curve = SwallowTailCurve(3, -1.0)
         samples = detect_singular_set(m, ST_GRID, tol=1e-9)
         assert samples
         assert not [s for s in samples if s.kind == "cusp-candidate"]
@@ -367,11 +362,11 @@ class TestDetection:
 
 class TestAnalyticCurve:
     def test_cusp_parameters(self):
-        assert swallow_tail_singular_curve(4.0).cusp_parameters() == (-2.0, 2.0)
-        assert swallow_tail_singular_curve(-4.0).cusp_parameters() == ()
+        assert SwallowTailCurve(3, 4.0).cusp_parameters() == (-2.0, 2.0)
+        assert SwallowTailCurve(3, -4.0).cusp_parameters() == ()
 
     def test_point_and_image(self):
-        c = swallow_tail_singular_curve(1.0, n=4)
+        c = SwallowTailCurve(4, 1.0)
         assert c.point(0.0) == (0.0, 0.0, 0.0, 0.0)
         p = c.point(1.0)
         assert p[0] == pytest.approx(2.0 / 3.0)
@@ -379,7 +374,7 @@ class TestAnalyticCurve:
                                       pytest.approx(0.25))
 
     def test_fold_negatives_and_absolute_index(self):
-        c = swallow_tail_singular_curve(1.0, n=3)
+        c = SwallowTailCurve(3, 1.0)
         assert c.fold_negatives(0.0) == 1
         assert c.fold_negatives(2.0) == 0
         assert c.fold_absolute_index(2.0) == 2
@@ -388,17 +383,17 @@ class TestAnalyticCurve:
 
     def test_degenerate_parameter_rejected(self):
         with pytest.raises(PreconditionError):
-            swallow_tail_singular_curve(0.0)
+            SwallowTailCurve(3, 0.0)
         # what LocalMap refuses: a non-finite t, and a quadratic index
         # outside [0, n - 2]
         for t in (math.nan, math.inf, -math.inf):
             with pytest.raises(PreconditionError, match="not finite"):
-                swallow_tail_singular_curve(t)
+                SwallowTailCurve(3, t)
         for n, index in ((3, 2), (3, 5), (3, -1), (3, -4), (2, 1)):
             with pytest.raises(PreconditionError,
                                match=f"quadratic index {index} outside"):
-                swallow_tail_singular_curve(1.0, n, index)
-        assert swallow_tail_singular_curve(1.0, 3, 1).fold_negatives(0.0) == 2
+                SwallowTailCurve(n, 1.0, index)
+        assert SwallowTailCurve(3, 1.0, 1).fold_negatives(0.0) == 2
 
 
 class TestPerturbation:
@@ -408,8 +403,9 @@ class TestPerturbation:
             0.75, rel=1e-12)
 
     def test_condition_threshold(self):
-        assert check_perturbation_condition(bump(0.4), bump(1.0))
-        assert not check_perturbation_condition(bump(0.6), bump(1.0))
+        bound = 1.0 - PERTURBATION_MARGIN
+        assert perturbation_supremum(bump(0.4), bump(1.0)) < bound
+        assert perturbation_supremum(bump(0.6), bump(1.0)) >= bound
 
     def test_report_verifies_axis_and_image(self):
         report = perturbed_fold_image(0, 2, bump(0.4), bump(1.0))

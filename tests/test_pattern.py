@@ -1,16 +1,19 @@
 """Pattern structure: index rules, validation, field predicates, aggregates."""
 
 import ast
+import importlib
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from cuspcobord import PreconditionError, SignAssignment
 from cuspcobord import moves as mv
 from cuspcobord import pattern as pat
 from cuspcobord.cli import main
+from cuspcobord.errors import PreconditionError
+from cuspcobord.invariants import SignAssignment
 from cuspcobord.morse import BoundaryCriticalPoint
 from cuspcobord.pattern import (
     CIRCLE,
@@ -638,3 +641,66 @@ def test_every_package_dataclass_without_a_cache_is_slotted():
     BoundaryCriticalPoint("x0", 0, 1)], ids=lambda obj: type(obj).__name__)
 def test_pattern_elements_moves_and_points_carry_no_instance_dict(obj):
     assert not hasattr(obj, "__dict__")
+
+
+def _top_level_names(source: str) -> set[str]:
+    """The names that source defines itself at module level: functions,
+    classes and assignment targets, not imports."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            names.add(node.target.id)
+    return names
+
+
+@pytest.mark.parametrize("source, names", [
+    ("def f(): ...\nclass C: ...\nX = Y = 1\nZ: int = 2",
+     {"f", "C", "X", "Y", "Z"}),
+    ("from .moves import replay\nimport json as W", set()),
+])
+def test_top_level_name_finder(source, names):
+    assert _top_level_names(source) == names
+
+
+def test_the_package_root_binds_only_its_submodules():
+    # one spelling per name: cuspcobord.moves.replay, not cuspcobord.replay
+    root = REPO_ROOT / "src" / "cuspcobord"
+    init = ast.parse((root / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in init.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    import cuspcobord
+    submodules = {path.stem for path in root.glob("*.py")}
+    for name in sorted(submodules - {"__init__"}):
+        importlib.import_module(f"cuspcobord.{name}")
+    public = {name for name in vars(cuspcobord) if not name.startswith("_")}
+    assert public <= submodules, sorted(public - submodules)
+    assert not hasattr(cuspcobord, "__version__")
+
+
+def test_each_module_exports_only_what_it_defines():
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "cuspcobord").glob("*.py")):
+        if path.stem == "__init__":
+            continue  # bound by the test above
+        module = importlib.import_module(f"cuspcobord.{path.stem}")
+        own = _top_level_names(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}: {name}"
+                  for name in getattr(module, "__all__", ()) if name not in own]
+    assert not found, found
+
+
+def test_the_readme_library_table_lists_each_modules_all():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `cuspcobord\.(\w+)` \|[^|]*\| (.*) \|$", readme,
+                      re.MULTILINE)
+    listed = {module: re.findall(r"`(\w+)`", cell) for module, cell in rows}
+    exported = {path.stem: importlib.import_module(
+        f"cuspcobord.{path.stem}").__all__
+        for path in (REPO_ROOT / "src" / "cuspcobord").glob("*.py")
+        if path.stem != "__init__"}
+    assert listed == exported

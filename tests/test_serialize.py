@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuspcobord import SchemaError
+from cuspcobord.errors import SchemaError
 from cuspcobord.moves import Move, MoveTrace
 from cuspcobord.pattern import CIRCLE, INTERVAL
 from cuspcobord.serialize import (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import PreconditionError
 from .morse import (
@@ -41,11 +41,6 @@ class SignAssignment:
         for pid, s in self.entries.items():
             if s not in (1, -1):
                 raise ValueError(f"sign for {pid!r} must be +1 or -1, got {s!r}")
-
-    @classmethod
-    def from_points(cls, points: Iterable[BoundaryCriticalPoint]) -> "SignAssignment":
-        """Assignment reading off the signs stored on the points themselves."""
-        return cls({p.id: p.sigma for p in points})
 
     def sign(self, point_id: str) -> int:
         return self.entries[point_id]

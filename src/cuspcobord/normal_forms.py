@@ -11,6 +11,11 @@ singular sets by Newton iteration from grid seeds, classifies and polishes
 the results, verifies the controlled-perturbation statement for fold maps
 perturbed by compactly supported bumps, and draws singular-value curves
 and renders them to SVG/CSV.  All floating point in the package lives here.
+
+Each model's formulas and checks live in its kind class (Fold, Cusp,
+SwallowTail, PerturbedFold); no other code tests the kind.  Row formulas
+take the first coordinates T, the z-coordinates Z and the form's signs
+eps, one row per point, and round each entry as for that point alone.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -193,127 +198,6 @@ def smooth_bump(center: float, radius: float, height: float) -> PiecewisePoly:
 # local models
 
 
-@dataclass(frozen=True, slots=True)
-class Fold:
-    """Projection plus a nondegenerate quadratic form with the given number
-    of negative squares."""
-
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class Cusp:
-    """One cubic direction coupled to the parameter, plus a quadratic form."""
-
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class SwallowTail:
-    """Quartic one-parameter family; its singular curve carries two cusps
-    for t > 0 and none for t < 0.  t = 0 is non-generic; LocalMap accepts
-    MIN_ABS_T <= |t| <= MAX_ABS_T."""
-
-    t: float
-    index: int = 0
-
-
-@dataclass(frozen=True, slots=True)
-class PerturbedFold:
-    """Fold perturbed by alpha(t) * beta(|z|^2) with compactly supported
-    bump factors."""
-
-    index: int
-    alpha: PiecewisePoly
-    beta: PiecewisePoly
-
-
-Kind = Union[Fold, Cusp, SwallowTail, PerturbedFold]
-
-
-@dataclass(frozen=True, slots=True)
-class LocalMap:
-    """A model map R^n -> R^2 of the shape (t, z) -> (t, h(t, z))."""
-
-    n: int
-    kind: Kind
-
-    def __post_init__(self) -> None:
-        n, k = self.n, self.kind
-        if n < 2:
-            raise ValueError(f"ambient dimension must be >= 2, got {n}")
-        if type(k) not in _LEADING:
-            raise ValueError(f"unknown model kind {k!r}")
-        if isinstance(k, SwallowTail) and \
-           not MIN_ABS_T <= abs(k.t) <= MAX_ABS_T:
-            raise ValueError(f"|t| = {abs(k.t):g} is outside "
-                             f"[{MIN_ABS_T:g}, {MAX_ABS_T:g}]")
-        lead, name = _LEADING[type(k)]
-        if not 0 <= k.index <= n - lead:
-            raise ValueError(
-                f"{name} index {k.index} outside [0, {n - lead}]")
-        if isinstance(k, PerturbedFold) and not (
-                isinstance(k.alpha, PiecewisePoly)
-                and isinstance(k.beta, PiecewisePoly)):
-            raise ValueError(
-                "perturbation factors must be compactly supported "
-                "piecewise polynomials")
-
-
-# per kind: the coordinates before the quadratic form (t, then any cubic or
-# quartic x), and the name of the index counting its negative squares
-_LEADING = {Fold: (1, "fold"), PerturbedFold: (1, "fold"),
-            Cusp: (2, "cusp"), SwallowTail: (2, "quadratic")}
-
-
-def _quad_signs(m: LocalMap) -> np.ndarray:
-    """Signs of the purely quadratic coordinates of the model."""
-    out = np.ones(m.n - _LEADING[type(m.kind)][0])
-    out[:m.kind.index] = -1.0
-    return out
-
-
-def evaluate(m: LocalMap, p: Sequence[float]) -> tuple[float, float]:
-    """Evaluate the model map at a point of R^n."""
-    if len(p) != m.n:
-        raise PreconditionError(
-            f"point has {len(p)} coordinates, map expects {m.n}")
-    p = [float(v) for v in p]
-    t, rest = p[0], np.asarray(p[1:])
-    k = m.kind
-    eps = _quad_signs(m)
-    if isinstance(k, Fold):
-        return t, float(eps @ (rest * rest))
-    if isinstance(k, Cusp):
-        x, z = rest[0], rest[1:]
-        return t, float(x ** 3 + t * x + eps @ (z * z))
-    if isinstance(k, SwallowTail):
-        x, z = rest[0], rest[1:]
-        return t, float(x ** 4 / 12 - k.t * x ** 2 / 2 + t * x
-                        + eps @ (z * z))
-    assert isinstance(k, PerturbedFold)
-    r = float(rest @ rest)
-    return t, float(eps @ (rest * rest) + k.alpha(t) * k.beta(r))
-
-
-def jacobian(m: LocalMap, p: Sequence[float]) -> np.ndarray:
-    """Analytic 2 x n Jacobian of the model map."""
-    if len(p) != m.n:
-        raise PreconditionError(
-            f"point has {len(p)} coordinates, map expects {m.n}")
-    t, *z = (float(v) for v in p)
-    rest = np.array(z)
-    k = m.kind
-    out = np.zeros((2, m.n))
-    out[0, 0] = 1.0
-    if isinstance(k, (Cusp, SwallowTail)):
-        out[1, 0] = z[0]
-    elif isinstance(k, PerturbedFold):
-        out[1, 0] = k.alpha.derivative()(t) * k.beta(float(rest @ rest))
-    out[1, 1:] = _z_grad_rows(m, np.array([t]), rest[None])[0]
-    return out
-
-
 def _pow(x: np.ndarray, k: int) -> np.ndarray:
     """x ** k elementwise, each entry rounded as the scalar
     ``np.float64 ** k`` (libm pow); array ``**`` takes SIMD and multiply
@@ -324,49 +208,265 @@ def _pow(x: np.ndarray, k: int) -> np.ndarray:
         return np.array([np.float64(v) ** k for v in x.tolist()])
 
 
-# The z-derivatives below take one row per point: T holds the (fixed) first
-# coordinates, Z the z-coordinates.  Every entry goes through the same
-# floating-point operations, in the same order, as for that point alone.
+def _solve_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve A x = b for each row's matrix A and right side b; least squares
+    where A is exactly singular."""
+    try:
+        return np.linalg.solve(A, B[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.empty_like(B)
+    for i in range(len(B)):
+        try:
+            out[i] = np.linalg.solve(A[i], B[i])
+        except np.linalg.LinAlgError:
+            out[i] = np.linalg.lstsq(A[i], B[i], rcond=None)[0]
+    return out
 
 
-def _z_grad_rows(m: LocalMap, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    k = m.kind
-    eps = _quad_signs(m)
-    if isinstance(k, Fold):
+def _diagonal_steps(H: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Solve H x = G for diagonal H by the division an LU solve makes."""
+    D = H.diagonal(axis1=1, axis2=2)
+    regular = np.all(D != 0, axis=1)
+    steps = np.empty_like(G)
+    steps[regular] = G[regular] / D[regular]
+    steps[~regular] = _solve_rows(H[~regular], G[~regular])
+    return steps
+
+
+def _check_index(kind, n: int, error: type = ValueError) -> None:
+    top = n - kind._LEAD
+    if not 0 <= kind.index <= top:
+        raise error(f"{kind._INDEX} index {kind.index} outside [0, {top}]")
+
+
+@dataclass(frozen=True, slots=True)
+class Fold:
+    """Projection plus a nondegenerate quadratic form with the given number
+    of negative squares: h = form(z)."""
+
+    index: int
+
+    _LEAD, _INDEX = 1, "fold"  # coordinates before the form, index name
+    _grid = ((-1.0, 1.0, 11),), (-0.5, 0.5, 3)  # seed axes: head, pad
+    _check = _check_index
+    _steps = staticmethod(_diagonal_steps)
+
+    def _h(self, t: float, rest: np.ndarray, eps: np.ndarray) -> float:
+        return eps @ (rest * rest)
+
+    def _t_partial(self, t: float, rest: np.ndarray) -> float:
+        return 0.0
+
+    def _grad_rows(self, T, Z, eps) -> np.ndarray:
         return 2 * eps * Z
-    if isinstance(k, PerturbedFold):
-        ab1 = k.alpha.at(T) * k.beta.derivative().at(np.vecdot(Z, Z))
+
+    def _fill_hess(self, H, T, Z, eps) -> None:
+        diag = np.arange(Z.shape[1])
+        H[:, diag, diag] = 2 * eps
+
+    def _curve(self, m: LocalMap, samples, markers) -> PlanarCurve:
+        ts = [s.point[0] for s in samples] or [-1.0, 1.0]
+        return PlanarCurve(((min(ts), 0.0), (max(ts), 0.0)), markers)
+
+
+class _Unfolding:
+    """What the cusp and the swallowtail share: h = lead(x) + t*x + form(z)
+    at (t, x, z), with lead and its x-derivatives given by the kind."""
+
+    __slots__ = ()
+    _LEAD = 2
+    _check = _check_index
+    _steps = staticmethod(_diagonal_steps)
+
+    def _h(self, t: float, rest: np.ndarray, eps: np.ndarray) -> float:
+        x, z = rest[0], rest[1:]
+        return self._lead(x) + t * x + eps @ (z * z)
+
+    def _t_partial(self, t: float, rest: np.ndarray) -> float:
+        return rest[0]
+
+    def _grad_rows(self, T, Z, eps) -> np.ndarray:
+        G = np.empty_like(Z)
+        G[:, 0] = self._lead_x(Z[:, 0]) + T
+        G[:, 1:] = 2 * eps * Z[:, 1:]
+        return G
+
+    def _fill_hess(self, H, T, Z, eps) -> None:
+        diag = np.arange(1, Z.shape[1])
+        H[:, diag, diag] = 2 * eps
+        H[:, 0, 0] = self._lead_xx(Z[:, 0])
+
+
+@dataclass(frozen=True, slots=True)
+class Cusp(_Unfolding):
+    """One cubic direction coupled to the parameter, plus a quadratic form:
+    h = x^3 + t*x + form(z)."""
+
+    index: int
+
+    _INDEX = "cusp"
+    _grid = ((-1.5, 0.5, 21), (-1.2, 1.2, 13)), (-0.5, 0.5, 3)
+
+    def _lead(self, x: float) -> float:
+        return x ** 3
+
+    def _lead_x(self, x: np.ndarray) -> np.ndarray:
+        return 3 * _pow(x, 2)
+
+    def _lead_xx(self, x: np.ndarray) -> np.ndarray:
+        return 6 * x
+
+    def _curve(self, m: LocalMap, samples, markers) -> PlanarCurve:
+        xs = [s.point[1] for s in samples] or [-1.0, 1.0]
+        points = [evaluate(m, (-3.0 * x ** 2, x) + (0.0,) * (m.n - 2))
+                  for x in np.linspace(min(xs), max(xs), 401).tolist()]
+        return PlanarCurve(tuple(points), markers)
+
+
+@dataclass(frozen=True, slots=True)
+class SwallowTail(_Unfolding):
+    """Quartic family h = x^4/12 - t*x^2/2 + s*x + form(z) at (s, x, z); its
+    singular curve carries two cusps for t > 0 and none for t < 0.  t = 0
+    is non-generic; LocalMap accepts MIN_ABS_T <= |t| <= MAX_ABS_T."""
+
+    t: float
+    index: int = 0
+
+    _INDEX = "quadratic"
+    _grid = ((-1.5, 1.5, 31), (-2.0, 2.0, 21)), (-0.5, 0.5, 3)
+
+    def _check(self, n: int) -> None:
+        if not MIN_ABS_T <= abs(self.t) <= MAX_ABS_T:
+            raise ValueError(f"|t| = {abs(self.t):g} is outside "
+                             f"[{MIN_ABS_T:g}, {MAX_ABS_T:g}]")
+        _check_index(self, n)
+
+    def _lead(self, x: float) -> float:
+        return x ** 4 / 12 - self.t * x ** 2 / 2
+
+    def _lead_x(self, x: np.ndarray) -> np.ndarray:
+        return _pow(x, 3) / 3 - self.t * x
+
+    def _lead_xx(self, x: np.ndarray) -> np.ndarray:
+        return _pow(x, 2) - self.t
+
+    def _curve(self, m: LocalMap, samples, markers) -> PlanarCurve:
+        xs = [s.point[1] for s in samples]
+        pad = 0.1 * (max(xs) - min(xs) or 1.0) if xs else 0.0
+        xlo, xhi = (min(xs) - pad, max(xs) + pad) if xs else (-2.0, 2.0)
+        curve = SwallowTailCurve(m.n, self.t)
+        points = [curve.image_point(x)
+                  for x in np.linspace(xlo, xhi, 401).tolist()]
+        return PlanarCurve(tuple(points), markers)
+
+
+@dataclass(frozen=True, slots=True)
+class PerturbedFold:
+    """Fold perturbed by alpha(t) * beta(|z|^2) with compactly supported
+    bump factors: h = form(z) + alpha(t) * beta(|z|^2)."""
+
+    index: int
+    alpha: PiecewisePoly
+    beta: PiecewisePoly
+
+    _LEAD, _INDEX = 1, "fold"
+    _steps = staticmethod(_solve_rows)
+
+    def _check(self, n: int) -> None:
+        _check_index(self, n)
+        if not (isinstance(self.alpha, PiecewisePoly)
+                and isinstance(self.beta, PiecewisePoly)):
+            raise ValueError("perturbation factors must be compactly "
+                             "supported piecewise polynomials")
+
+    def _h(self, t: float, rest: np.ndarray, eps: np.ndarray) -> float:
+        r = float(rest @ rest)
+        return eps @ (rest * rest) + self.alpha(t) * self.beta(r)
+
+    def _t_partial(self, t: float, rest: np.ndarray) -> float:
+        return self.alpha.derivative()(t) * self.beta(float(rest @ rest))
+
+    def _grad_rows(self, T, Z, eps) -> np.ndarray:
+        ab1 = self.alpha.at(T) * self.beta.derivative().at(np.vecdot(Z, Z))
         return 2 * Z * (eps + ab1[:, None])
-    x = Z[:, 0]
-    G = np.empty_like(Z)
-    if isinstance(k, Cusp):
-        G[:, 0] = 3 * _pow(x, 2) + T
-    else:
-        G[:, 0] = _pow(x, 3) / 3 - k.t * x + T
-    G[:, 1:] = 2 * eps * Z[:, 1:]
-    return G
 
-
-def _z_hess_rows(m: LocalMap, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    k = m.kind
-    eps = _quad_signs(m)
-    rows, dim = Z.shape
-    H = np.zeros((rows, dim, dim))
-    diag = np.arange(dim)
-    if isinstance(k, PerturbedFold):
+    def _fill_hess(self, H, T, Z, eps) -> None:
+        diag = np.arange(Z.shape[1])
         r = np.vecdot(Z, Z)
-        a = k.alpha.at(T)
-        beta_d = k.beta.derivative()
+        a = self.alpha.at(T)
+        beta_d = self.beta.derivative()
         H[:, diag, diag] = 2 * (eps + (a * beta_d.at(r))[:, None])
         H += ((4 * a) * beta_d.derivative().at(r))[:, None, None] * (
             Z[:, :, None] * Z[:, None, :])
-        return H
-    if isinstance(k, Fold):
-        H[:, diag, diag] = 2 * eps
-    else:
-        H[:, diag[1:], diag[1:]] = 2 * eps
-        H[:, 0, 0] = (6 * Z[:, 0] if isinstance(k, Cusp)
-                      else _pow(Z[:, 0], 2) - k.t)
+
+    @property
+    def _grid(self) -> tuple[tuple, tuple[float, float, int]]:
+        lo, hi = self.alpha.support()
+        return ((lo - 1.0, hi + 1.0, 41),), (-0.75, 0.75, 5)
+
+    def _graph(self, t: float) -> float:  # the predicted singular value
+        return self.alpha(t) * self.beta(0.0)
+
+    def _curve(self, m: LocalMap, samples, markers) -> PlanarCurve:
+        lo, hi = self.alpha.support()
+        ts = np.linspace(lo - 1.0, hi + 1.0, 401).tolist()
+        return PlanarCurve(tuple((t, self._graph(t)) for t in ts))
+
+
+@dataclass(frozen=True, slots=True)
+class LocalMap:
+    """A model map R^n -> R^2 of the shape (t, z) -> (t, h(t, z))."""
+
+    n: int
+    kind: Fold | Cusp | SwallowTail | PerturbedFold
+
+    def __post_init__(self) -> None:
+        if self.n < 2:
+            raise ValueError(f"ambient dimension must be >= 2, got {self.n}")
+        if type(self.kind) not in (Fold, Cusp, SwallowTail, PerturbedFold):
+            raise ValueError(f"unknown model kind {self.kind!r}")
+        self.kind._check(self.n)
+
+
+def _quad_signs(m: LocalMap) -> np.ndarray:
+    """Signs of the purely quadratic coordinates of the model."""
+    out = np.ones(m.n - m.kind._LEAD)
+    out[:m.kind.index] = -1.0
+    return out
+
+
+def _split(m: LocalMap, p: Sequence[float]) -> tuple[float, np.ndarray]:
+    """A point's first coordinate and its z-coordinates, as floats."""
+    if len(p) != m.n:
+        raise PreconditionError(
+            f"point has {len(p)} coordinates, map expects {m.n}")
+    t, *z = (float(v) for v in p)
+    return t, np.array(z)
+
+
+def evaluate(m: LocalMap, p: Sequence[float]) -> tuple[float, float]:
+    """Evaluate the model map at a point of R^n."""
+    t, rest = _split(m, p)
+    return t, float(m.kind._h(t, rest, _quad_signs(m)))
+
+
+def jacobian(m: LocalMap, p: Sequence[float]) -> np.ndarray:
+    """Analytic 2 x n Jacobian of the model map."""
+    t, rest = _split(m, p)
+    out = np.zeros((2, m.n))
+    out[0, 0] = 1.0
+    out[1, 0] = m.kind._t_partial(t, rest)
+    out[1, 1:] = _z_grad_rows(m, np.array([t]), rest[None])[0]
+    return out
+
+
+def _z_grad_rows(m: LocalMap, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    return m.kind._grad_rows(T, Z, _quad_signs(m))
+
+
+def _z_hess_rows(m: LocalMap, T: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    H = np.zeros(Z.shape + Z.shape[1:])  # a dim x dim matrix per row
+    m.kind._fill_hess(H, T, Z, _quad_signs(m))
     return H
 
 
@@ -436,17 +536,7 @@ def default_grid(m: LocalMap) -> GridSpec:
     kind, then a short axis for every further coordinate.  Seeds are
     counted while the axes are made, so a grid over the budget is refused
     before its n axes exist."""
-    k = m.kind
-    pad = (-0.5, 0.5, 3)
-    if isinstance(k, SwallowTail):
-        head = [(-1.5, 1.5, 31), (-2.0, 2.0, 21)]
-    elif isinstance(k, Cusp):
-        head = [(-1.5, 0.5, 21), (-1.2, 1.2, 13)]
-    elif isinstance(k, PerturbedFold):
-        lo, hi = k.alpha.support()
-        head, pad = [(lo - 1.0, hi + 1.0, 41)], (-0.75, 0.75, 5)
-    else:  # Fold
-        head = [(-1.0, 1.0, 11)]
+    head, pad = m.kind._grid
     axes: list[tuple[float, float, int]] = []
     seeds = 1
     while len(axes) < m.n:
@@ -471,36 +561,7 @@ class SingularSample:
         return self.kind
 
 
-def _solve_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve A x = b for each row's matrix A and right side b; least squares
-    where A is exactly singular."""
-    try:
-        return np.linalg.solve(A, B[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        out = np.empty_like(B)
-    for i in range(len(B)):
-        try:
-            out[i] = np.linalg.solve(A[i], B[i])
-        except np.linalg.LinAlgError:
-            out[i] = np.linalg.lstsq(A[i], B[i], rcond=None)[0]
-    return out
-
-
-def _newton_steps(m: LocalMap, T: np.ndarray, Z: np.ndarray,
-                  G: np.ndarray) -> np.ndarray:
-    """Solve H step = G for each row's z-Hessian H."""
-    H = _z_hess_rows(m, T, Z)
-    if isinstance(m.kind, PerturbedFold):
-        return _solve_rows(H, G)
-    # diagonal Hessians: an LU solve reduces to this division exactly
-    D = H.diagonal(axis1=1, axis2=2)
-    regular = np.all(D != 0, axis=1)
-    steps = np.empty_like(G)
-    steps[regular] = G[regular] / D[regular]
-    steps[~regular] = _solve_rows(H[~regular], G[~regular])
-    return steps
-
-
+@np.errstate(over="ignore", invalid="ignore")  # inf/nan residuals never drop
 def _damped_newton(F, step, X: np.ndarray,
                    maxiter: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton towards F = 0 from every row of X.
@@ -546,8 +607,8 @@ def _newton_rows(m: LocalMap, T: np.ndarray,
     row."""
     def step(X: np.ndarray, G: np.ndarray) -> np.ndarray:
         # a zero t-step leaves t bit for bit: t - 0.0 == t
-        return np.column_stack(
-            [np.zeros(len(X)), _newton_steps(m, X[:, 0], X[:, 1:], G)])
+        return np.column_stack([np.zeros(len(X)), m.kind._steps(
+            _z_hess_rows(m, X[:, 0], X[:, 1:]), G)])
 
     X, res = _damped_newton(lambda X: _z_grad_rows(m, X[:, 0], X[:, 1:]),
                             step, np.column_stack([T, Z]), NEWTON_MAXITER)
@@ -684,10 +745,8 @@ class SwallowTailCurve:
                 "t = 0 is not generic; only t < 0 and t > 0 are modeled")
         if self.n < 2:
             raise PreconditionError("ambient dimension must be >= 2")
-        lead, name = _LEADING[SwallowTail]
-        if not 0 <= self.index <= self.n - lead:
-            raise PreconditionError(
-                f"{name} index {self.index} outside [0, {self.n - lead}]")
+        _check_index(SwallowTail(self.t, self.index), self.n,
+                     PreconditionError)
 
     def point(self, x: float) -> tuple[float, ...]:
         head = (-x ** 3 / 3 + self.t * x, x)
@@ -761,11 +820,6 @@ class PerturbedFoldReport:
                 and self.max_image_error <= self.tol)
 
 
-def _fold_graph(k: PerturbedFold, t: float) -> float:
-    """The perturbed fold's predicted singular value alpha(t) * beta(0)."""
-    return k.alpha(t) * k.beta(0.0)
-
-
 def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
                          beta: PiecewisePoly, tol: float = 1e-8,
                          grid: Optional[GridSpec] = None
@@ -785,7 +839,7 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
     for s in samples:
         max_axis = max(max_axis, float(np.linalg.norm(s.point[1:])))
         t, h = evaluate(m, s.point)
-        max_img = max(max_img, abs(h - _fold_graph(m.kind, t)))
+        max_img = max(max_img, abs(h - m.kind._graph(t)))
     return PerturbedFoldReport(
         sup_product=sup,
         detected=tuple(samples),
@@ -812,28 +866,9 @@ def singular_value_curve(m: LocalMap,
     """The singular-value curve of a model to draw over the range of its
     samples, marking each cusp candidate's image.  A perturbed fold draws
     its predicted graph around the support of alpha, unmarked."""
-    k = m.kind
-    if isinstance(k, PerturbedFold):
-        lo, hi = k.alpha.support()
-        ts = np.linspace(lo - 1.0, hi + 1.0, 401).tolist()
-        return PlanarCurve(tuple((t, _fold_graph(k, t)) for t in ts))
-    if isinstance(k, SwallowTail):
-        xs = [s.point[1] for s in samples]
-        pad = 0.1 * (max(xs) - min(xs) or 1.0) if xs else 0.0
-        xlo, xhi = (min(xs) - pad, max(xs) + pad) if xs else (-2.0, 2.0)
-        curve = SwallowTailCurve(m.n, k.t)
-        points = [curve.image_point(x)
-                  for x in np.linspace(xlo, xhi, 401).tolist()]
-    elif isinstance(k, Fold):
-        ts = [s.point[0] for s in samples] or [-1.0, 1.0]
-        points = [(min(ts), 0.0), (max(ts), 0.0)]
-    else:  # Cusp
-        xs = [s.point[1] for s in samples] or [-1.0, 1.0]
-        points = [evaluate(m, (-3.0 * x ** 2, x) + (0.0,) * (m.n - 2))
-                  for x in np.linspace(min(xs), max(xs), 401).tolist()]
     markers = tuple(evaluate(m, s.point) for s in samples
                     if s.kind == "cusp-candidate")
-    return PlanarCurve(tuple(points), markers)
+    return m.kind._curve(m, samples, markers)
 
 
 _SVG_W, _SVG_H, _SVG_MARGIN = 480.0, 360.0, 24.0

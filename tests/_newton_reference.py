@@ -1,11 +1,12 @@
 """Reference oracle for singular-set detection: the per-point loops.
 
 This is the scalar algorithm the row-wise detection in ``normal_forms``
-must reproduce bit for bit: the z-gradient and z-Hessian written point by
-point with numpy scalars, one damped Newton iteration per grid seed, the
-quadratic deduplication, one cusp polish per determinant sign change, and
-the classification and residual of each sample on its own.  ``detect``
-shares only the canonical sample order with the package.
+must reproduce bit for bit: the model value, z-gradient and z-Hessian
+written point by point with numpy scalars, one damped Newton iteration
+per grid seed, the quadratic deduplication, one cusp polish per
+determinant sign change, and the classification and residual of each
+sample on its own.  ``detect`` shares only the canonical sample order
+with the package.
 """
 
 from __future__ import annotations
@@ -23,6 +24,22 @@ def quad_signs(m: nf.LocalMap) -> np.ndarray:
     k = m.kind
     count = m.n - 1 if isinstance(k, (nf.Fold, nf.PerturbedFold)) else m.n - 2
     return np.array([-1.0] * k.index + [1.0] * (count - k.index))
+
+
+def h(m: nf.LocalMap, t: float, z) -> float:
+    """Second coordinate of the model map at (t, z)."""
+    t, rest = float(t), np.asarray([float(v) for v in z])
+    k = m.kind
+    eps = quad_signs(m)
+    if isinstance(k, nf.Fold):
+        return float(eps @ (rest * rest))
+    if isinstance(k, (nf.Cusp, nf.SwallowTail)):
+        x, z = rest[0], rest[1:]
+        lead = (x ** 3 if isinstance(k, nf.Cusp)
+                else x ** 4 / 12 - k.t * x ** 2 / 2)
+        return float(lead + t * x + eps @ (z * z))
+    r = float(rest @ rest)
+    return float(eps @ (rest * rest) + k.alpha(t) * k.beta(r))
 
 
 def z_grad(m: nf.LocalMap, t: float, z) -> np.ndarray:

@@ -277,6 +277,27 @@ class TestExitCodes:
         assert main(["trace", "swallowtail", f"--grid={grid}", "--csv"]) == 0
         assert capsys.readouterr() == spaced and spaced.err == ""
 
+    # the first Newton step of each seed overflows: the seed does not
+    # converge, and that is all
+    @pytest.mark.parametrize("argv", [
+        ["cusp", "--n", "2", "--grid", "-1:1:3,1e-300:1e-300:1"],
+        ["fold", "--n", "2", "--grid", "0:0:1,1e200:1e200:1"],
+        ["swallowtail", "--n", "3", "--grid",
+         "-1e100:1e100:5,-1e100:1e100:5,-1e100:1e100:5"],
+    ], ids=["cusp", "fold", "swallowtail"])
+    def test_an_overflowing_newton_step_is_quiet(self, argv, capsys):
+        argv = ["trace", *argv, "--csv"]
+        assert main(argv) == 0  # under the suite's error::RuntimeWarning
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "nan" not in captured.out and "inf" not in captured.out
+        child = subprocess.run(
+            [sys.executable, "-m", "cuspcobord.cli", *argv], cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            0, captured.out, "")
+
     def test_internal_error_exits_3_with_one_line(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.mv, "replay", lambda trace: trace.initial)
         code = main(["pattern", "normalize",

@@ -1,5 +1,6 @@
 """Numeric models: evaluation, Jacobians, detection, exact suprema, plots."""
 
+import ast
 import math
 import random
 import re
@@ -30,6 +31,10 @@ from cuspcobord.normal_forms import (
     samples_to_csv,
     smooth_bump,
 )
+
+import _newton_reference as ref
+from _corpus import REPO_ROOT
+from test_batched_detection import MODELS
 
 
 def bump(height=0.4, radius=1.0, center=0.0):
@@ -198,6 +203,16 @@ class TestEvaluate:
         m = LocalMap(3, Fold(0))
         with pytest.raises(PreconditionError):
             evaluate(m, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("m", MODELS, ids=lambda m: f"{m.kind}-n{m.n}")
+def test_evaluate_matches_the_pointwise_formula_bit_for_bit(m, rng):
+    points = [[rng.uniform(-1.6, 1.6) for _ in range(m.n)]
+              for _ in range(300)]
+    points += [[0.0] * m.n, [-0.0] * m.n]  # float.hex tells the zeros apart
+    for p in points:
+        want = (p[0], ref.h(m, p[0], p[1:]))
+        assert [v.hex() for v in evaluate(m, p)] == [v.hex() for v in want]
 
 
 class TestJacobian:
@@ -454,3 +469,63 @@ class TestRendering:
 
     def test_csv_of_nothing(self):
         assert samples_to_csv([]) == "t,residual,class\n"
+
+
+KINDS = {"Fold", "Cusp", "SwallowTail", "PerturbedFold"}
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
+def _kind_type_tests(source: str) -> list[str]:
+    """The isinstance, type() and match-class tests that name a model kind
+    in source, outside the kinds' own class bodies and LocalMap's
+    unknown-kind check (the one test there that names every kind)."""
+    found = []
+
+    def walk(node: ast.AST, owner: str) -> None:
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        if (_calls(node, "isinstance") or isinstance(node, ast.MatchClass)
+                or isinstance(node, ast.Compare) and any(
+                    _calls(e, "type") for e in [node.left, *node.comparators])):
+            named = KINDS & {n.id for n in ast.walk(node)
+                             if isinstance(n, ast.Name)}
+            if named and owner not in KINDS and not (
+                    owner == "LocalMap" and named == KINDS):
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        for child in ast.iter_child_nodes(node):
+            walk(child, owner)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("source, hits", [
+    ("isinstance(k, Fold)", 1),
+    ("def f(k):\n    return isinstance(k, (Cusp, SwallowTail))", 1),
+    ("type(k) is PerturbedFold or type(k) == Cusp", 2),
+    ("match k:\n    case Fold(index=0):\n        pass", 1),
+    ("isinstance(k.alpha, PiecewisePoly) and type(k) is LocalMap", 0),
+    ("class Fold:\n    def f(self, o):\n        return isinstance(o, Fold)",
+     0),
+    ("class LocalMap:\n    def f(self):\n"
+     "        return isinstance(self.kind, Cusp)", 1),
+    ("class LocalMap:\n    def __post_init__(self):\n"
+     "        if type(self.kind) not in (Fold, Cusp, SwallowTail,\n"
+     "                                   PerturbedFold):\n"
+     "            raise ValueError", 0),
+    ("if type(k) not in (Fold, Cusp, SwallowTail, PerturbedFold):\n"
+     "    raise ValueError", 1),
+])
+def test_kind_type_test_finder(source, hits):
+    assert len(_kind_type_tests(source)) == hits
+
+
+def test_only_the_kind_classes_know_their_kind():
+    # each model's formulas live in its kind class; the rest of the module
+    # calls them and never picks a model by its type
+    path = REPO_ROOT / "src" / "cuspcobord" / "normal_forms.py"
+    assert _kind_type_tests(path.read_text(encoding="utf-8")) == []

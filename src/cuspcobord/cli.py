@@ -16,6 +16,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -27,6 +28,10 @@ from typing import Any, Optional, Sequence
 # The numeric work is on 2x2-4x4 stacks, where extra BLAS threads never help
 # and their start-up spin costs CPU in every command; numpy loads below.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if __name__ == "__main__":
+    # Every object the imports make lives until exit, so walking them finds
+    # no garbage; entry() freezes them and turns the collector back on.
+    gc.disable()
 
 from . import moves as mv
 from . import normal_forms as nf
@@ -424,6 +429,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry() -> None:
+    """The process entry: later collections, the one at teardown included,
+    skip the start-up objects of numpy, the stdlib and the package."""
+    gc.freeze()
+    gc.enable()
     sys.exit(main(sys.argv[1:]))
 
 

@@ -45,6 +45,7 @@ import heapq
 import re
 from collections.abc import Container
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 from typing import Optional, Union
 
@@ -218,8 +219,7 @@ class _State:
             e = seq[pos]
             if isinstance(e, kind):
                 return w, pos, e
-        what = "fold arc" if kind is FoldArc else "cusp"
-        raise PreconditionError(f"no {what} with id {eid!r}")
+        raise _missing(eid, kind)
 
     def splice(self, w: _Word, pos: int, new: tuple[Element, ...]) -> None:
         """Insert freshly named elements (cusp, inner arc, ...) after word
@@ -253,6 +253,22 @@ class _State:
         return SingularPattern(p.n, tuple(
             Component(w.kind, tuple(w.sequence), w.endpoints)
             for w in self.order), p.boundary_points, p.chi_ambient)
+
+
+def _missing(eid: str, kind: type) -> PreconditionError:
+    what = "fold arc" if kind is FoldArc else "cusp"
+    return PreconditionError(f"no {what} with id {eid!r}")
+
+
+def _scan(components: tuple[Component, ...], eid: str,
+          kind: type) -> tuple[Component, int, Element]:
+    """``_State.find`` on a pattern's own components, for a caller that
+    moves nothing: a scan up to the id, which copies and indexes no word."""
+    for comp in components:
+        for pos, e in enumerate(comp.sequence):
+            if e.id == eid and isinstance(e, kind):
+                return comp, pos, e
+    raise _missing(eid, kind)
 
 
 def _budget_error() -> PreconditionError:
@@ -398,17 +414,18 @@ def _fused_ends(at1: tuple, at2: tuple, reconnection: str):
     raise PreconditionError(f"unknown reconnection {reconnection!r}")
 
 
-def _matching_pair(s: _State, c1_id: str, c2_id: str) -> tuple:
+def _matching_pair(n: int, find, c1_id: str, c2_id: str) -> tuple:
     """Each cusp's (word, position), once the two ids name two distinct
-    cusps whose normal indices sum to n-2."""
+    cusps whose normal indices sum to n-2; ``find`` looks an id up as
+    ``_State.find`` does."""
     if c1_id == c2_id:
         raise PreconditionError("need two distinct cusps")
-    w1, pos1, cusp1 = s.find(c1_id, Cusp)
-    w2, pos2, cusp2 = s.find(c2_id, Cusp)
-    if cusp1.normal_index + cusp2.normal_index != s.n - 2:
+    w1, pos1, cusp1 = find(c1_id, Cusp)
+    w2, pos2, cusp2 = find(c2_id, Cusp)
+    if cusp1.normal_index + cusp2.normal_index != n - 2:
         raise PreconditionError(
             f"cusps {c1_id!r} (I={cusp1.normal_index}) and {c2_id!r} "
-            f"(I={cusp2.normal_index}) are not a matching pair for n={s.n}")
+            f"(I={cusp2.normal_index}) are not a matching pair for n={n}")
     return (w1, pos1), (w2, pos2)
 
 
@@ -419,7 +436,8 @@ def legal_reconnections(p: SingularPattern, c1_id: str,
     For an invalid pattern or a repeated, missing or non-matching cusp it
     raises the elimination's own ``PreconditionError``."""
     _require(p)
-    at1, at2 = _matching_pair(_State(p), c1_id, c2_id)
+    at1, at2 = _matching_pair(p.n, partial(_scan, p.components), c1_id,
+                              c2_id)
     return tuple(recon for recon in (STAY, SPLIT)
                  if all(a.tau == b.tau for (_, a), (_, b)
                         in _fused_ends(at1, at2, recon)))
@@ -433,7 +451,7 @@ def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
     _record(s, Move("eliminate_matching_pair", {
         "cusp1": c1_id, "cusp2": c2_id, "reconnection": reconnection,
         "assume_removable": assume_removable}))
-    at1, at2 = _matching_pair(s, c1_id, c2_id)
+    at1, at2 = _matching_pair(s.n, s.find, c1_id, c2_id)
     if s.n == 2 and not assume_removable:
         raise PreconditionError(
             "eliminations in ambient dimension 2 need assume_removable=True")

@@ -491,6 +491,8 @@ class GridSpec:
                 raise ValueError("axis count must be >= 1")
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError("axis bounds must be finite with lo <= hi")
+            if not np.isfinite(hi - lo):
+                raise ValueError("axis span hi - lo must be finite")
 
     @classmethod
     def parse(cls, text: str) -> "GridSpec":

@@ -298,6 +298,21 @@ class TestExitCodes:
         assert (child.returncode, child.stdout, child.stderr) == (
             0, captured.out, "")
 
+    def test_an_overflowing_grid_span_is_refused(self, capsys):
+        # each bound is finite, their difference is not
+        argv = ["trace", "fold", "--n", "2", "--grid",
+                "-1.7e308:1.7e308:3,0:0:1", "--csv"]
+        assert main(argv) == 2  # under the suite's error::RuntimeWarning
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: axis span hi - lo must be finite\n"
+        child = subprocess.run(
+            [sys.executable, "-m", "cuspcobord.cli", *argv], cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2, "", captured.err)
+
     def test_internal_error_exits_3_with_one_line(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.mv, "replay", lambda trace: trace.initial)
         code = main(["pattern", "normalize",
@@ -371,6 +386,33 @@ class TestBlasThreads:
                        "import cuspcobord.normal_forms; "
                        "print(os.environ.get('OPENBLAS_NUM_THREADS'))"
                        ) == ["False", "None"]
+
+
+class TestGcPolicy:
+    """The CLI process keeps its start-up objects out of the collector's
+    walks; importing the library changes nothing."""
+
+    def test_entry_freezes_the_start_up_heap(self):
+        assert _python(
+            "import gc, cuspcobord.cli as cli; "
+            "cli.main = lambda argv: "
+            "print(gc.get_freeze_count() > 0, gc.isenabled()) or 0; "
+            "cli.entry()") == ["True", "True"]
+
+    def test_the_script_collects_again_in_main(self):
+        # runpy runs cli.py as python -m does, so its imports run with the
+        # collector suspended; main() is the first to call parse_args
+        assert _python(
+            "import argparse, gc, runpy, sys; "
+            "argparse.ArgumentParser.parse_args = lambda self, argv: "
+            "sys.exit(print(gc.get_freeze_count() > 0, gc.isenabled())); "
+            "runpy.run_module('cuspcobord.cli', run_name='__main__')"
+        ) == ["True", "True"]
+
+    def test_the_library_leaves_the_collector_alone(self):
+        assert _python("import gc, cuspcobord.cli; "
+                       "print(gc.get_freeze_count(), gc.isenabled())"
+                       ) == ["0", "True"]
 
 
 class TestJsonMode:

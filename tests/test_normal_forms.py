@@ -264,6 +264,8 @@ class TestGridSpec:
             GridSpec(((0.0, -1.0, 5),))
         with pytest.raises(ValueError):
             GridSpec(((0.0, 1.0, 0),))
+        with pytest.raises(ValueError, match="span"):
+            GridSpec(((-1.7e308, 1.7e308, 3),))
 
 
 def former_default_axes(m):

@@ -59,10 +59,9 @@ def _read_json(path: str) -> Any:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
         except ValueError as exc:  # syntax, UTF-8, a huge integer, a repeat
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+            raise SchemaError(f"invalid JSON: {exc}") from exc
         except RecursionError:
-            raise SchemaError(
-                f"{path}: invalid JSON: nested too deeply") from None
+            raise SchemaError("invalid JSON: nested too deeply") from None
 
 
 def _fmt(value: Any) -> str:
@@ -110,18 +109,12 @@ def _write_json_file(path: str, obj: Any) -> None:
         fh.write("\n")
 
 
-def _load_valid_descriptor(path: str):
-    d = serialize.descriptor_from_json(_read_json(path))
-    validate_descriptor(d).require(f"descriptor {path}")
-    return d
-
-
 # ---------------------------------------------------------------------------
 # descriptor commands
 
 
 def _cmd_invariant(args) -> int:
-    d = _load_valid_descriptor(args.file)
+    d = args.file
     cls = cobordism_invariant(d)
     _emit([("n", d.n), ("chi_M", d.chi_M), ("chi_plus", chi_plus(d)),
            ("invariant", cls.value), ("group", cls.group)], args.json)
@@ -129,8 +122,7 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_cobordant(args) -> int:
-    d1 = _load_valid_descriptor(args.file_a)
-    d2 = _load_valid_descriptor(args.file_b)
+    d1, d2 = args.file_a, args.file_b
     same = is_cobordant(d1, d2)
     _emit([("n", d1.n), ("invariant_a", cobordism_invariant(d1).value),
            ("invariant_b", cobordism_invariant(d2).value),
@@ -139,7 +131,7 @@ def _cmd_cobordant(args) -> int:
 
 
 def _cmd_extendable(args) -> int:
-    d = _load_valid_descriptor(args.file)
+    d = args.file
     value = cobordism_invariant(d).value
     ok = value == 0  # Morse-van Schaack under the descriptor's own signs
     _emit([("n", d.n), ("chi_M", d.chi_M), ("chi_plus", chi_plus(d)),
@@ -153,7 +145,7 @@ def _cmd_extendable(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    p = serialize.pattern_from_json(_read_json(args.file))
+    p = args.file
     report = pat.validate_pattern(p)
     counts = [("components", len(p.components)), ("cusps", p.total_cusps)]
     fields: list[tuple[str, Any]] = [("valid", report.ok)]
@@ -171,16 +163,16 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _load_pattern_and_sigma(args):
-    p = serialize.pattern_from_json(_read_json(args.file))
-    sigma = serialize.sigma_from_json(_read_json(args.sigma))
-    if p.n % 2 == 1 and args.chi_v is not None:
-        raise SchemaError(f"--chi-v applies only to even n, not n={p.n}")
-    return p, sigma
+def _pattern_and_chi_v(args):
+    """The pattern of ``check`` or ``normalize``, once --chi-v fits it."""
+    if args.file.n % 2 == 1 and args.chi_v is not None:
+        raise SchemaError(
+            f"--chi-v applies only to even n, not n={args.file.n}")
+    return args.file
 
 
 def _cmd_check(args) -> int:
-    p, sigma = _load_pattern_and_sigma(args)
+    p, sigma = _pattern_and_chi_v(args), args.sigma
     vf = pat.vector_field_exists(p, sigma)
     flags = (pat.check_condition_even(p, sigma) if p.n % 2 == 0
              else pat.check_condition_odd(p, sigma))
@@ -208,7 +200,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    p, sigma = _load_pattern_and_sigma(args)
+    p, sigma = _pattern_and_chi_v(args), args.sigma
     if p.n % 2 == 0:
         if args.chi_v is None:
             raise SchemaError(
@@ -243,17 +235,6 @@ def _cmd_normalize(args) -> int:
 # numeric traces
 
 
-def _parse_bump(text: str, what: str) -> nf.PiecewisePoly:
-    bits = text.split(":")
-    if len(bits) != 3:
-        raise SchemaError(
-            f"{what}: expected center:radius:height, got {text!r}")
-    try:
-        return nf.smooth_bump(float(bits[0]), float(bits[1]), float(bits[2]))
-    except ValueError as exc:
-        raise SchemaError(f"{what}: {exc}") from exc
-
-
 def _detect(args, m: nf.LocalMap, grid: nf.GridSpec):
     """The samples of a fold or cusp model, and their report fields."""
     samples = nf.detect_singular_set(m, grid, tol=args.tol)
@@ -279,10 +260,9 @@ def _detect_perturbed_fold(args, m: nf.LocalMap, grid: nf.GridSpec):
 
 def _cmd_trace(args) -> int:
     m = nf.LocalMap(args.n, args.model(args))
-    grid = (nf.default_grid(m) if args.grid is None
-            else nf.GridSpec.parse(args.grid))
+    grid = nf.default_grid(m) if args.grid is None else args.grid
     samples, found = args.detect(args, m, grid)
-    artifact = (nf.samples_to_csv(samples) if args.csv else
+    artifact = (nf.samples_to_csv(m, samples) if args.csv else
                 nf.render_svg([nf.singular_value_curve(m, samples)]))
     extra = {"tol": args.tol, "format": "csv" if args.csv else "svg",
              "grid": [list(axis) for axis in grid.axes]}
@@ -316,14 +296,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {self.prog}: {message}\n")
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+def _input(read, name: Optional[str] = None):
+    """The parser type of one input: ``read`` it, and put its name (the
+    option ``name``, else the path given) in front of any error."""
+    def convert(text: str):
+        try:
+            return read(text)
+        except (SchemaError, PreconditionError, ValueError) as exc:
+            raise SchemaError(f"{name or text}: {exc}") from exc
+    return convert
+
+
+def _descriptor(path: str):
+    d = serialize.descriptor_from_json(_read_json(path))
+    validate_descriptor(d).require("descriptor")
+    return d
+
+
+def _pattern(path: str, valid: bool = True):
+    p = serialize.pattern_from_json(_read_json(path))
+    if valid:
+        pat.validate_pattern(p).require("pattern")
+    return p
+
+
+def _bump(text: str) -> nf.PiecewisePoly:
+    bits = text.split(":")
+    if len(bits) != 3:
+        raise ValueError(f"expected center:radius:height, got {text!r}")
+    return nf.smooth_bump(*map(float, bits))
+
+
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"must be finite, got {text!r}")
     return value
 
 
@@ -341,31 +347,37 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariant", parents=[common],
                            help="compute the cobordism invariant of a "
                                 "Morse descriptor")
-    p_inv.add_argument("file", help="descriptor JSON file")
+    descriptor = _input(_descriptor)
+    p_inv.add_argument("file", type=descriptor, help="descriptor JSON file")
     p_inv.set_defaults(func=_cmd_invariant)
 
     p_cob = sub.add_parser("cobordant", parents=[common],
                            help="decide whether two descriptors are "
                                 "cobordant")
-    p_cob.add_argument("file_a")
-    p_cob.add_argument("file_b")
+    p_cob.add_argument("file_a", type=descriptor)
+    p_cob.add_argument("file_b", type=descriptor)
     p_cob.set_defaults(func=_cmd_cobordant)
 
     p_ext = sub.add_parser("extendable", parents=[common],
                            help="check the necessary condition for a "
                                 "critical-point-free extension")
-    p_ext.add_argument("file", help="descriptor JSON file")
+    p_ext.add_argument("file", type=descriptor, help="descriptor JSON file")
     p_ext.set_defaults(func=_cmd_extendable)
 
     p_pat = sub.add_parser("pattern", help="validate, check, or normalize "
                                             "a singular pattern")
     actions = p_pat.add_subparsers(dest="action", required=True)
-    pattern_file = argparse.ArgumentParser(add_help=False, parents=[common])
-    pattern_file.add_argument("file", help="pattern JSON file")
-    actions.add_parser("validate", parents=[pattern_file]).set_defaults(
-        func=_cmd_validate)
-    signed = argparse.ArgumentParser(add_help=False, parents=[pattern_file])
-    signed.add_argument("--sigma", required=True, help="sign assignment JSON")
+    p_val = actions.add_parser("validate", parents=[common])
+    # validate reports the violations that check and normalize refuse
+    p_val.add_argument("file", type=_input(lambda f: _pattern(f, False)),
+                       help="pattern JSON file")
+    p_val.set_defaults(func=_cmd_validate)
+    signed = argparse.ArgumentParser(add_help=False, parents=[common])
+    signed.add_argument("file", type=_input(_pattern),
+                        help="pattern JSON file")
+    signed.add_argument("--sigma", required=True, type=_input(
+        lambda f: serialize.sigma_from_json(_read_json(f))),
+        help="sign assignment JSON")
     signed.add_argument("--chi-v", type=int, dest="chi_v",
                         help="Euler characteristic of the ambient manifold "
                              "(even n only)")
@@ -379,9 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
     kinds = p_tr.add_subparsers(dest="kind", required=True)
     shared = argparse.ArgumentParser(add_help=False, parents=[common])
     shared.add_argument("--n", type=int, default=3, help="ambient dimension")
-    shared.add_argument("--grid", help="seed grid lo:hi:count per axis, "
-                                       "comma-separated")
-    shared.add_argument("--tol", type=_finite_float, default=1e-9,
+    shared.add_argument("--grid", type=_input(nf.GridSpec.parse, "--grid"),
+                        help="seed grid lo:hi:count per axis, comma-separated")
+    shared.add_argument("--tol", type=_input(_finite, "--tol"), default=1e-9,
                         help="residual tolerance for singular points")
     shared.add_argument("--out", help="write the SVG/CSV artifact here")
     shared.add_argument("--csv", action="store_true",
@@ -391,18 +403,18 @@ def _build_parser() -> argparse.ArgumentParser:
     fold_index.add_argument("--i", type=int, default=0, help="fold index")
 
     st = kinds.add_parser("swallowtail", parents=[shared])
-    st.add_argument("--t", type=_finite_float, default=1.0,
+    st.add_argument("--t", type=_input(_finite, "--t"), default=1.0,
                     help="family parameter")
     st.set_defaults(model=lambda a: nf.SwallowTail(a.t),
                     detect=_detect_swallowtail)
     pf = kinds.add_parser("perturbed-fold", parents=[shared, fold_index])
-    pf.add_argument("--alpha", default="0:1:0.4",
+    pf.add_argument("--alpha", type=_input(_bump, "--alpha"),
+                    default="0:1:0.4",
                     help="perturbation bump center:radius:height in t")
-    pf.add_argument("--beta", default="0:1:1",
+    pf.add_argument("--beta", type=_input(_bump, "--beta"), default="0:1:1",
                     help="perturbation bump center:radius:height in |z|^2")
-    pf.set_defaults(model=lambda a: nf.PerturbedFold(
-        a.i, _parse_bump(a.alpha, "--alpha"), _parse_bump(a.beta, "--beta")),
-        detect=_detect_perturbed_fold)
+    pf.set_defaults(model=lambda a: nf.PerturbedFold(a.i, a.alpha, a.beta),
+                    detect=_detect_perturbed_fold)
     kinds.add_parser("fold", parents=[shared, fold_index]).set_defaults(
         model=lambda a: nf.Fold(a.i))
     cusp = kinds.add_parser("cusp", parents=[shared])
@@ -413,13 +425,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        # the parser reads and checks every input (see _input)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # a usage error, or --help
+        return int(exc.code or 0)
     except (SchemaError, PreconditionError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -503,7 +503,16 @@ class GridSpec:
             if len(bits) != 3:
                 raise ValueError(
                     f"axis spec {part!r} is not of the form lo:hi:count")
-            axes.append((float(bits[0]), float(bits[1]), int(bits[2])))
+            axis = []
+            for field, read, bit in zip(("lo", "hi", "count"),
+                                        (float, float, int), bits):
+                try:
+                    axis.append(read(bit))
+                except ValueError:
+                    what = "an integer" if read is int else "a number"
+                    raise ValueError(f"axis spec {part!r}: {field} {bit!r} "
+                                     f"is not {what}") from None
+            axes.append(tuple(axis))
         return cls(tuple(axes))
 
     @property
@@ -878,15 +887,8 @@ _SVG_W, _SVG_H, _SVG_MARGIN = 480.0, 360.0, 24.0
 
 def render_svg(curves: Sequence[PlanarCurve]) -> str:
     """Deterministic SVG for singular-value curves; byte-stable per input."""
-    xs: list[float] = []
-    ys: list[float] = []
-    for c in curves:
-        for x, y in c.points:
-            xs.append(x)
-            ys.append(y)
-        for x, y in c.cusps:
-            xs.append(x)
-            ys.append(y)
+    points = [p for c in curves for p in c.points + c.cusps]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
     if xs:
         lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     else:
@@ -923,17 +925,10 @@ def render_svg(curves: Sequence[PlanarCurve]) -> str:
     return "\n".join(parts) + "\n"
 
 
-def samples_to_csv(samples: Sequence[SingularSample]) -> str:
-    """CSV of singular samples: t, z-coordinates, residual, class."""
-    if samples:
-        zdim = len(samples[0].point) - 1
-    else:
-        zdim = 0
-    header = ["t"] + [f"z{k + 1}" for k in range(zdim)] + ["residual", "class"]
-    lines = [",".join(header)]
-    for s in samples:
-        row = ["%.12g" % v for v in s.point]
-        row.append("%.12g" % s.residual)
-        row.append(s.class_label())
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def samples_to_csv(m: LocalMap, samples: Sequence[SingularSample]) -> str:
+    """CSV of the singular samples of ``m``: t, z-coordinates, residual,
+    class; the header names ``m``'s columns, with or without samples."""
+    rows = [["t", *(f"z{k}" for k in range(1, m.n)), "residual", "class"]]
+    rows += [["%.12g" % v for v in (*s.point, s.residual)] + [s.class_label()]
+             for s in samples]
+    return "".join(",".join(row) + "\n" for row in rows)

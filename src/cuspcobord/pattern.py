@@ -70,9 +70,6 @@ class Cusp:
     id: str
     normal_index: int
 
-    def tau(self, n: int) -> int:
-        return cusp_tau(self.normal_index, n)
-
 
 @dataclass(frozen=True, slots=True)
 class FoldArc:
@@ -240,8 +237,8 @@ def _check_laws(p: SingularPattern) -> ValidationReport:
                 transitions.append(Violation(
                     "cusp-transition",
                     f"{where}: cusp {e.id!r} (I={e.normal_index}, "
-                    f"tau={e.tau(p.n)}) abuts arcs of indices "
-                    f"{left.tau} and {right.tau}"))
+                    f"tau={cusp_tau(e.normal_index, p.n)}) abuts arcs of "
+                    f"indices {left.tau} and {right.tau}"))
         out += transitions  # after all of the component's range faults
 
         if comp.kind == CIRCLE:

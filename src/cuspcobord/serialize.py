@@ -207,11 +207,8 @@ def descriptor_to_json(d: MorseDescriptor) -> dict:
 
 def sigma_from_json(obj: Any) -> SignAssignment:
     obj = _expect_mapping(obj, "sigma")
-    entries = {}
-    for key, value in obj.items():
-        entries[_expect_str(key, "sigma key")] = _sign_from_json(
-            value, f"sigma[{key!r}]")
-    return SignAssignment(entries)
+    return SignAssignment({_expect_str(key, "sigma key"): _sign_from_json(
+        value, f"sigma[{key!r}]") for key, value in obj.items()})
 
 
 def sigma_to_json(sigma: SignAssignment) -> dict:

@@ -34,7 +34,7 @@ def assert_same_detection(m: nf.LocalMap, g: nf.GridSpec, tol: float = 1e-9,
     want = ref.detect(m, g, tol, runs)
     assert bool(got) == found, f"found {len(got)} singular points"
     assert got == want
-    assert nf.samples_to_csv(got) == nf.samples_to_csv(want)
+    assert nf.samples_to_csv(m, got) == nf.samples_to_csv(m, want)
     return got
 
 

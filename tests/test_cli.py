@@ -103,7 +103,7 @@ class TestExitCodes:
                          {"id": "x1", "mu": 1, "sigma": 1}]}))
         assert main(["invariant", str(f)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: invalid descriptor {f}: chi_boundary")
+        assert err.startswith(f"error: {f}: invalid descriptor: chi_boundary")
         assert err.count("\n") == 1
 
     def test_degenerate_family_parameter(self, capsys):
@@ -233,7 +233,7 @@ class TestExitCodes:
     def test_empty_grid_is_not_absent(self, capsys):
         assert main(["trace", "fold", "--n", "2", "--grid", "", "--csv"]) == 2
         assert capsys.readouterr() == (
-            "", "error: axis spec '' is not of the form lo:hi:count\n")
+            "", "error: --grid: axis spec '' is not of the form lo:hi:count\n")
 
     @pytest.mark.parametrize("flag", ["--t", "--tol"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -305,7 +305,8 @@ class TestExitCodes:
         assert main(argv) == 2  # under the suite's error::RuntimeWarning
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: axis span hi - lo must be finite\n"
+        assert captured.err == (
+            "error: --grid: axis span hi - lo must be finite\n")
         child = subprocess.run(
             [sys.executable, "-m", "cuspcobord.cli", *argv], cwd=REPO_ROOT,
             env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
@@ -337,7 +338,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert err.startswith("error: descriptor.interior[0].value: ")
+        assert err.startswith(f"error: {f}: descriptor.interior[0].value: ")
 
     def test_check_requires_sigma(self, capsys):
         pat = str(REPO_ROOT / "corpus" / "interval_0cusp.json")
@@ -349,6 +350,79 @@ class TestExitCodes:
         b = str(REPO_ROOT / "corpus" / "d3_generator.json")
         assert main(["cobordant", a, b]) == 2
         capsys.readouterr()
+
+
+# Each faulty input file is a corpus file with one edit; "{f}" in an argv
+# is that file.
+_BAD_MU = ("fig2.json", lambda d: d["boundary"][0].update(mu="a"))
+_BAD_TAU = ("interval_0cusp.json",
+            lambda d: d["components"][0]["sequence"][0]["arc"].update(
+                tau="1"))
+_BAD_SIGN = ("sigma_pm.json", lambda d: d.update(x0=2))
+_INVALID_DESCRIPTOR = ("fig2.json", lambda d: d.update(chi_boundary=2))
+_INVALID_PATTERN = ("bad_pattern.json", lambda d: None)
+_FIG2, _PAT, _SIGMA = ("corpus/fig2.json", "corpus/interval_0cusp.json",
+                       "corpus/sigma_pm.json")
+_CHECK = ["pattern", "check", "{f}", "--sigma", _SIGMA]
+_NORMALIZE = ["pattern", "normalize", "{f}", "--sigma", _SIGMA, "--chi-v",
+              "1"]
+# (id, argv, the faulty file's corpus name and edit, or the option at fault)
+_INPUT_FAULTS = [
+    ("invariant", ["invariant", "{f}"], _BAD_MU),
+    ("cobordant-a", ["cobordant", "{f}", _FIG2], _BAD_MU),
+    ("cobordant-b", ["cobordant", _FIG2, "{f}"], _BAD_MU),
+    ("extendable", ["extendable", "{f}"], _BAD_MU),
+    ("validate", ["pattern", "validate", "{f}"], _BAD_TAU),
+    ("check", _CHECK, _BAD_TAU),
+    ("normalize", _NORMALIZE, _BAD_TAU),
+    ("sigma", ["pattern", "check", _PAT, "--sigma", "{f}"], _BAD_SIGN),
+    ("invalid-descriptor", ["invariant", "{f}"], _INVALID_DESCRIPTOR),
+    ("invalid-check", _CHECK, _INVALID_PATTERN),
+    ("invalid-normalize", _NORMALIZE, _INVALID_PATTERN),
+    ("grid", ["trace", "fold", "--n", "2", "--grid=0:1:1e3,0:0:1"], "--grid"),
+    ("alpha", ["trace", "perturbed-fold", "--n", "2", "--alpha", "0:0:1"],
+     "--alpha"),
+    ("beta", ["trace", "perturbed-fold", "--n", "2", "--beta=0:1:x"],
+     "--beta"),
+    ("t", ["trace", "swallowtail", "--t", "nan"], "--t"),
+    ("tol", ["trace", "fold", "--n", "2", "--tol", "1e-9x"], "--tol"),
+]
+
+
+@pytest.mark.parametrize("argv, fault", [c[1:] for c in _INPUT_FAULTS],
+                         ids=[c[0] for c in _INPUT_FAULTS])
+def test_every_input_error_names_its_input(argv, fault, tmp_path, capsys):
+    name = fault
+    if not isinstance(fault, str):
+        corpus_name, edit = fault
+        doc = json.loads((REPO_ROOT / "corpus" / corpus_name).read_text(
+            encoding="utf-8"))
+        edit(doc)
+        name = str(tmp_path / corpus_name)
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    argv = [name if a == "{f}" else
+            str(REPO_ROOT / a) if a.startswith("corpus/") else a
+            for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    if argv[0] == "cobordant" and argv[2] == name:
+        # one fresh process: the parser runs before the command there too
+        child = subprocess.run(
+            [sys.executable, "-m", "cuspcobord.cli", *argv], cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (
+            2, "", captured.err)
+
+
+def test_a_csv_without_samples_keeps_its_columns(capsys):
+    assert main(["trace", "cusp", "--n", "2", "--k", "0",
+                 "--grid=-1:1:2,0:0:1", "--csv"]) == 0
+    assert capsys.readouterr() == ("t,z1,residual,class\n", "")
 
 
 def _python(code: str, **env: str) -> list[str]:

@@ -463,14 +463,15 @@ class TestRendering:
         m = LocalMap(2, Fold(0))
         samples = detect_singular_set(
             m, GridSpec(((-1.0, 1.0, 5), (-1.0, 1.0, 5))), tol=1e-9)
-        text = samples_to_csv(samples)
+        text = samples_to_csv(m, samples)
         lines = text.strip().split("\n")
         assert lines[0] == "t,z1,residual,class"
         assert len(lines) == len(samples) + 1
         assert all(line.endswith("fold(0)") for line in lines[1:])
 
     def test_csv_of_nothing(self):
-        assert samples_to_csv([]) == "t,residual,class\n"
+        assert samples_to_csv(LocalMap(2, Fold(0)), []) == (
+            "t,z1,residual,class\n")
 
 
 KINDS = {"Fold", "Cusp", "SwallowTail", "PerturbedFold"}

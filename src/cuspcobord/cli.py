@@ -164,15 +164,20 @@ def _cmd_validate(args) -> int:
 
 
 def _pattern_and_chi_v(args):
-    """The pattern of ``check`` or ``normalize``, once --chi-v fits it."""
-    if args.file.n % 2 == 1 and args.chi_v is not None:
-        raise SchemaError(
-            f"--chi-v applies only to even n, not n={args.file.n}")
-    return args.file
+    """The pattern of ``check`` or ``normalize`` and its chi(V): --chi-v,
+    else the pattern's chi_ambient.  Both are for even n, and must agree."""
+    p, given, stored = args.file, args.chi_v, args.file.chi_ambient
+    for name, value in (("--chi-v", given), ("chi_ambient", stored)):
+        if p.n % 2 == 1 and value is not None:
+            raise SchemaError(f"{name} applies only to even n, not n={p.n}")
+    if None not in (given, stored) and given != stored:
+        raise SchemaError(f"--chi-v {given} differs from the pattern's "
+                          f"chi_ambient {stored}")
+    return p, stored if given is None else given
 
 
 def _cmd_check(args) -> int:
-    p, sigma = _pattern_and_chi_v(args), args.sigma
+    (p, chi_v), sigma = _pattern_and_chi_v(args), args.sigma
     vf = pat.vector_field_exists(p, sigma)
     flags = (pat.check_condition_even(p, sigma) if p.n % 2 == 0
              else pat.check_condition_odd(p, sigma))
@@ -183,12 +188,12 @@ def _cmd_check(args) -> int:
     aggregate = None
     if p.n % 2 == 1:
         aggregate = pat.aggregate_odd(p, sigma)
-    elif args.chi_v is not None:
-        parity = pat.cusp_parity_check(p, args.chi_v)
+    elif chi_v is not None:
+        parity = pat.cusp_parity_check(p, chi_v)
         fields.append(("cusp_parity", "pass" if parity else "fail"))
         extra["cusp_parity"] = parity
         if parity:
-            aggregate = pat.aggregate_even(p, sigma, args.chi_v)
+            aggregate = pat.aggregate_even(p, sigma, chi_v)
     if aggregate is not None:
         fields += zip(("aggregate_lhs", "aggregate_rhs"), aggregate)
     text = [("component", f"{k} kind={item['kind']} "
@@ -200,12 +205,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    p, sigma = _pattern_and_chi_v(args), args.sigma
+    (p, chi_v), sigma = _pattern_and_chi_v(args), args.sigma
     if p.n % 2 == 0:
-        if args.chi_v is None:
-            raise SchemaError(
-                "normalizing an even-dimensional pattern needs --chi-v")
-        result = mv.normalize_even(p, sigma, args.chi_v)
+        if chi_v is None:
+            raise SchemaError("normalizing an even-dimensional pattern "
+                              "needs --chi-v or the pattern's chi_ambient")
+        result = mv.normalize_even(p, sigma, chi_v)
     else:
         result = mv.normalize_odd(p, sigma)
 
@@ -320,16 +325,30 @@ def _pattern(path: str, valid: bool = True):
     return p
 
 
+def _number(text: str, field: str = "") -> float:
+    """``text`` as a float; an error names the ``field`` it fills, if any."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{field} {text!r} is not a number".lstrip()) from None
+
+
 def _bump(text: str) -> nf.PiecewisePoly:
     bits = text.split(":")
     if len(bits) != 3:
         raise ValueError(f"expected center:radius:height, got {text!r}")
-    return nf.smooth_bump(*map(float, bits))
+    return nf.smooth_bump(*map(_number, bits, ("center", "radius", "height")))
 
 
 def _finite(text: str) -> float:
-    if not math.isfinite(value := float(text)):
+    if not math.isfinite(value := _number(text)):
         raise ValueError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    if not (value := _finite(text)) > 0:
+        raise ValueError(f"must be positive, got {text!r}")
     return value
 
 
@@ -380,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sign assignment JSON")
     signed.add_argument("--chi-v", type=int, dest="chi_v",
                         help="Euler characteristic of the ambient manifold "
-                             "(even n only)")
+                             "(even n only; defaults to the pattern's)")
     actions.add_parser("check", parents=[signed]).set_defaults(func=_cmd_check)
     p_norm = actions.add_parser("normalize", parents=[signed])
     p_norm.add_argument("--out", help="write the trace or obstruction here")
@@ -393,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--n", type=int, default=3, help="ambient dimension")
     shared.add_argument("--grid", type=_input(nf.GridSpec.parse, "--grid"),
                         help="seed grid lo:hi:count per axis, comma-separated")
-    shared.add_argument("--tol", type=_input(_finite, "--tol"), default=1e-9,
+    shared.add_argument("--tol", type=_input(_positive, "--tol"), default=1e-9,
                         help="residual tolerance for singular points")
     shared.add_argument("--out", help="write the SVG/CSV artifact here")
     shared.add_argument("--csv", action="store_true",

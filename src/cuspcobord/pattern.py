@@ -351,17 +351,13 @@ def check_condition_odd(p: SingularPattern,
     return [_odd_ok(comp, by_id, sigma) for comp in p.components]
 
 
-def cusp_parity_check(p: SingularPattern,
-                      chi_ambient: Optional[int] = None) -> bool:
-    """Global parity law: total cusps == chi(ambient) + #boundary/2 (mod 2)."""
-    chi = chi_ambient if chi_ambient is not None else p.chi_ambient
-    if chi is None:
-        raise PreconditionError("no ambient Euler characteristic available")
+def cusp_parity_check(p: SingularPattern, chi_V: int) -> bool:
+    """Global parity law: total cusps == chi_V + #boundary/2 (mod 2)."""
     k = len(p.boundary_points)
     if k % 2 != 0:
         raise PreconditionError(
             f"{k} boundary points; the count must be even")
-    return (p.total_cusps - chi - k // 2) % 2 == 0
+    return (p.total_cusps - chi_V - k // 2) % 2 == 0
 
 
 def aggregate_even(p: SingularPattern, sigma: SignAssignment,

@@ -222,6 +222,24 @@ class TestExitCodes:
         assert captured.err == (
             "error: --chi-v applies only to even n, not n=3\n")
 
+    @pytest.mark.parametrize("action", ["check", "normalize"])
+    def test_chi_ambient_is_refused_in_odd_dimension(self, action, tmp_path,
+                                                     capsys):
+        f = _with_chi_ambient(tmp_path, "two_intervals_n3.json", 0)
+        assert main(["pattern", action, f, "--sigma",
+                     _corpus("sigma_pp_pp.json")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: chi_ambient applies only to even n, not n=3\n")
+
+    @pytest.mark.parametrize("action", ["check", "normalize"])
+    def test_chi_v_and_chi_ambient_must_agree(self, action, tmp_path,
+                                              capsys):
+        f = _with_chi_ambient(tmp_path, "two_intervals_n2.json", 0)
+        assert main(["pattern", action, f, "--sigma",
+                     _corpus("sigma_pp_pp.json"), "--chi-v", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: --chi-v 1 differs from the pattern's chi_ambient 0\n")
+
     def test_empty_out_path_is_not_absent(self, capsys):
         assert main(["pattern", "normalize", _corpus("two_intervals_n3.json"),
                      "--sigma", _corpus("sigma_pp_pp.json"), "--out", ""]) == 2
@@ -419,6 +437,29 @@ def test_every_input_error_names_its_input(argv, fault, tmp_path, capsys):
             2, "", captured.err)
 
 
+_NUMBER_FAULTS = [
+    (["trace", "fold", "--n", "2", "--tol=-1"],
+     "--tol: must be positive, got '-1'"),
+    (["trace", "fold", "--n", "2", "--tol=0"],
+     "--tol: must be positive, got '0'"),
+    (["trace", "swallowtail", "--t", "x"], "--t: 'x' is not a number"),
+    (["trace", "fold", "--n", "2", "--tol", "1e-9x"],
+     "--tol: '1e-9x' is not a number"),
+    (["trace", "perturbed-fold", "--n", "2", "--beta", "a:1:1"],
+     "--beta: center 'a' is not a number"),
+    (["trace", "perturbed-fold", "--n", "2", "--alpha", "0:1:h"],
+     "--alpha: height 'h' is not a number"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _NUMBER_FAULTS,
+                         ids=[message for _, message in _NUMBER_FAULTS])
+def test_number_options_are_reported_in_the_tools_words(argv, message,
+                                                         capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_a_csv_without_samples_keeps_its_columns(capsys):
     assert main(["trace", "cusp", "--n", "2", "--k", "0",
                  "--grid=-1:1:2,0:0:1", "--csv"]) == 0
@@ -607,6 +648,15 @@ class TestNormalizeOutputs:
         assert payload["obstruction"]["kind"] == "parity_mismatch"
 
 
+def _with_chi_ambient(tmp_path, name, chi):
+    """The path of a copy of a corpus pattern that stores ``chi``."""
+    doc = json.loads((REPO_ROOT / "corpus" / name).read_text(
+        encoding="utf-8"))
+    path = tmp_path / name
+    path.write_text(json.dumps({**doc, "chi_ambient": chi}), encoding="utf-8")
+    return str(path)
+
+
 def _corpus(name):
     return str(REPO_ROOT / "corpus" / name)
 
@@ -752,6 +802,22 @@ class TestPatternJson:
                            "obstruction": obstruction, "out": out}
         with open(out, encoding="utf-8") as fh:
             assert json.load(fh) == obstruction
+
+
+@pytest.mark.parametrize("action, code", [("check", 1), ("normalize", 0)])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_chi_ambient_reads_as_an_equal_chi_v(action, code, as_json, tmp_path,
+                                             capsys):
+    f = _with_chi_ambient(tmp_path, "two_intervals_n2.json", 0)
+    argv = ["pattern", action, f, "--sigma", _corpus("sigma_pp_pp.json"),
+            *as_json]
+    assert main(argv) == code
+    stored = capsys.readouterr()
+    assert main(argv + ["--chi-v", "0"]) == code
+    assert capsys.readouterr() == stored
+    assert stored.err == ""
+    if action == "check":
+        assert "cusp_parity" in stored.out
 
 
 class TestArtifacts:

@@ -319,14 +319,16 @@ class TestCuspParity:
         assert cusp_parity_check(p, 1)
         assert not cusp_parity_check(p, 0)
 
-    def test_uses_stored_chi_when_not_passed(self):
-        p = build_pattern(2, (("circle", (1, 1), (0, 0)),), chi_ambient=0)
-        assert cusp_parity_check(p)
+    @pytest.mark.parametrize("stored", [None, 0, 1])
+    def test_the_given_chi_decides_whatever_the_pattern_stores(self, stored):
+        # two cusps and no boundary: the law holds exactly for even chi_V;
+        # the pattern's chi_ambient is the CLI's to read, not the law's
+        p = build_pattern(2, (("circle", (1, 1), (0, 0)),),
+                          chi_ambient=stored)
+        assert cusp_parity_check(p, chi_V=0)
+        assert cusp_parity_check(p, -2)
         assert not cusp_parity_check(p, 1)
-
-    def test_requires_some_chi(self):
-        p = build_pattern(2, (("circle", (1,), ()),))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(TypeError):
             cusp_parity_check(p)
 
     def test_preserved_by_construction_across_enumeration(self):

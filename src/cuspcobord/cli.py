@@ -95,18 +95,20 @@ def _emit(fields: list[tuple[str, Any]], as_json: bool,
     if as_json:
         obj = {key: _json_value(value) for key, value in fields + tail}
         obj.update(extra or {})
-        # the tool's one JSON encoding, streamed as _write_json_file does
-        json.dump(obj, sys.stdout, sort_keys=True, indent=2, allow_nan=False)
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, obj)
     else:
         for key, value in [*fields, *text, *tail]:
             print(f"{key}={_fmt(value)}")
 
 
+def _write_json(stream, obj: Any) -> None:  # the tool's one JSON encoding
+    json.dump(obj, stream, sort_keys=True, indent=2, allow_nan=False)
+    stream.write("\n")
+
+
 def _write_json_file(path: str, obj: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
+        _write_json(fh, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +335,13 @@ def _number(text: str, field: str = "") -> float:
         raise ValueError(f"{field} {text!r} is not a number".lstrip()) from None
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not an integer") from None
+
+
 def _bump(text: str) -> nf.PiecewisePoly:
     bits = text.split(":")
     if len(bits) != 3:
@@ -397,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     signed.add_argument("--sigma", required=True, type=_input(
         lambda f: serialize.sigma_from_json(_read_json(f))),
         help="sign assignment JSON")
-    signed.add_argument("--chi-v", type=int, dest="chi_v",
+    signed.add_argument("--chi-v", type=_input(_integer, "--chi-v"),
                         help="Euler characteristic of the ambient manifold "
                              "(even n only; defaults to the pattern's)")
     actions.add_parser("check", parents=[signed]).set_defaults(func=_cmd_check)
@@ -409,7 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "of a local model")
     kinds = p_tr.add_subparsers(dest="kind", required=True)
     shared = argparse.ArgumentParser(add_help=False, parents=[common])
-    shared.add_argument("--n", type=int, default=3, help="ambient dimension")
+    shared.add_argument("--n", type=_input(_integer, "--n"), default=3,
+                        help="ambient dimension")
     shared.add_argument("--grid", type=_input(nf.GridSpec.parse, "--grid"),
                         help="seed grid lo:hi:count per axis, comma-separated")
     shared.add_argument("--tol", type=_input(_positive, "--tol"), default=1e-9,
@@ -419,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write the samples as CSV, not an SVG plot")
     shared.set_defaults(func=_cmd_trace, detect=_detect)
     fold_index = argparse.ArgumentParser(add_help=False)
-    fold_index.add_argument("--i", type=int, default=0, help="fold index")
+    fold_index.add_argument("--i", type=_input(_integer, "--i"),
+                            default=0, help="fold index")
 
     st = kinds.add_parser("swallowtail", parents=[shared])
     st.add_argument("--t", type=_input(_finite, "--t"), default=1.0,
@@ -437,7 +448,8 @@ def _build_parser() -> argparse.ArgumentParser:
     kinds.add_parser("fold", parents=[shared, fold_index]).set_defaults(
         model=lambda a: nf.Fold(a.i))
     cusp = kinds.add_parser("cusp", parents=[shared])
-    cusp.add_argument("--k", type=int, default=0, help="cusp index")
+    cusp.add_argument("--k", type=_input(_integer, "--k"), default=0,
+                      help="cusp index")
     cusp.set_defaults(model=lambda a: nf.Cusp(a.k))
 
     return parser

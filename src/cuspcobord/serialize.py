@@ -4,16 +4,17 @@ Every loader validates its input shape completely: unknown keys, missing
 required keys, or wrongly typed values raise SchemaError with the one-line
 message ``<path>: <problem>``, its path from the document root, such as
 ``trace.final.components[1].kind`` or ``sigma['x0']``.  Exact rational
-critical values travel as strings like "3/4", losing no precision.
+critical values travel as strings like "3/4", losing no precision.  Each
+format is stated once, by its readers: every writer is a reader's inverse.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Set
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .errors import SchemaError
 from .invariants import SignAssignment
@@ -22,7 +23,7 @@ from .morse import (
     InteriorCriticalPoint,
     MorseDescriptor,
 )
-from .moves import Move, MoveTrace, Obstruction, _NamePool
+from .moves import Move, MoveTrace, Obstruction
 from .pattern import (
     CIRCLE,
     INTERVAL,
@@ -51,17 +52,12 @@ def _expect_mapping(obj: Any, where: str) -> Mapping:
     return obj
 
 
-def _check_keys(obj: Mapping, where: str, required: Set[str],
-                optional: Set[str]) -> None:
-    missing = required - obj.keys()
-    if missing:
-        raise SchemaError(f"{where}: missing keys {sorted(missing)}")
-    unknown = obj.keys() - required - optional
-    if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
-
-
 _Reader = Callable[[Any, str], Any]  # (JSON value, its path) -> value read
+
+
+def _writer(read: _Reader) -> Callable[[Any], Any]:
+    """The inverse of ``read``: its ``write``, else the value as it is."""
+    return getattr(read, "write", lambda value: value)
 
 
 def _fields(obj: Any, where: str, required: dict[str, _Reader],
@@ -76,7 +72,10 @@ def _fields(obj: Any, where: str, required: dict[str, _Reader],
             break
         out[key] = read(value, f"{where}.{key}")
     if len(out) < len(obj) or not required.keys() <= out.keys():
-        _check_keys(obj, where, required.keys(), optional.keys())
+        if missing := required.keys() - obj.keys():
+            raise SchemaError(f"{where}: missing keys {sorted(missing)}")
+        unknown = obj.keys() - required.keys() - optional.keys()
+        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
     return out
 
 
@@ -87,6 +86,8 @@ def _items(read: _Reader) -> _Reader:
             raise SchemaError(
                 f"{where}: expected an array, got {type(obj).__name__}")
         return tuple(read(item, f"{where}[{k}]") for k, item in enumerate(obj))
+    write = _writer(read)
+    read_items.write = lambda values: [write(v) for v in values]
     return read_items
 
 
@@ -102,13 +103,21 @@ def _one_of(allowed, what: str) -> _Reader:
 def _record(cls: Callable, required: dict[str, _Reader],
             optional: dict[str, _Reader] = {}) -> _Reader:
     """A reader of objects that builds ``cls`` from their fields by name (JSON
-    keys are field names); a ValueError from ``cls`` is a SchemaError."""
+    keys are field names); a ValueError from ``cls`` is a SchemaError.  Its
+    ``write`` writes every required field and each optional one not None."""
     def read(obj: Any, where: str):
         fields = _fields(obj, where, required, optional)
         try:
             return cls(**fields)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
+    writers = [(key, _writer(r), key in required)
+               for key, r in {**required, **optional}.items()]
+
+    def write(value: Any) -> dict:
+        return {key: write_field(field) for key, write_field, always in writers
+                if (field := getattr(value, key)) is not None or always}
+    read.write = write
     return read
 
 
@@ -154,6 +163,9 @@ def _fraction_from_json(obj: Any, where: str) -> Fraction:
         f"(integer or 'p/q' string), got {obj!r}")
 
 
+_fraction_from_json.write = str
+
+
 def _sign_from_json(obj: Any, where: str) -> int:
     value = _expect_int(obj, where)
     if value not in (-1, 1):
@@ -182,23 +194,8 @@ def descriptor_from_json(obj: Any) -> MorseDescriptor:
     return _descriptor(obj, "descriptor")
 
 
-def _point_to_json(p: Any, *keys: str) -> dict:
-    # a critical point's id and keys, then its value if it has one
-    item = {key: getattr(p, key) for key in ("id", *keys)}
-    if p.value is not None:
-        item["value"] = str(p.value)
-    return item
-
-
 def descriptor_to_json(d: MorseDescriptor) -> dict:
-    return {
-        "n": d.n,
-        "oriented": d.oriented,
-        "chi_M": d.chi_M,
-        "chi_boundary": d.chi_boundary,
-        "interior": [_point_to_json(p, "index") for p in d.interior],
-        "boundary": [_point_to_json(p, "mu", "sigma") for p in d.boundary],
-    }
+    return _descriptor.write(d)
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +216,29 @@ def sigma_to_json(sigma: SignAssignment) -> dict:
 # singular patterns
 
 
-# each element kind: its class, its index's key, and its body's readers
-_ELEMENTS = {"arc": (FoldArc, "tau", {"tau": _expect_int}),
-             "cusp": (Cusp, "I", {"I": _expect_int})}
-_ID = {"id": _expect_str}
+# each element kind: its class, and the JSON key and field name of its index
+_ELEMENTS = {"arc": (FoldArc, "tau", "tau"),
+             "cusp": (Cusp, "I", "normal_index")}
+_KIND = {cls: (what, key, f) for what, (cls, key, f) in _ELEMENTS.items()}
 
 
-def _element(obj: Any, where: str) -> tuple[type, int, Optional[str]]:
-    # (class, index, id or None): unnamed elements are named by _components
+def _element(obj: Any, where: str) -> FoldArc | Cusp:
     obj = _expect_mapping(obj, where)
     if len(obj) != 1 or not obj.keys() <= _ELEMENTS.keys():
         raise SchemaError(f"{where}: expected exactly one of 'arc' or 'cusp'")
     [(what, body)] = obj.items()
-    cls, index, required = _ELEMENTS[what]
-    fields = _fields(body, f"{where}.{what}", required, _ID)
-    return cls, fields[index], fields.get("id")
+    cls, key, _ = _ELEMENTS[what]
+    fields = _fields(body, f"{where}.{what}",
+                     {"id": _expect_str, key: _expect_int})
+    return cls(fields["id"], fields[key])
+
+
+def _write_element(e: FoldArc | Cusp) -> dict:
+    what, key, field = _KIND[type(e)]
+    return {what: {"id": e.id, key: getattr(e, field)}}
+
+
+_element.write = _write_element
 
 
 def _endpoints(obj: Any, where: str) -> tuple[str, ...]:
@@ -243,31 +248,17 @@ def _endpoints(obj: Any, where: str) -> tuple[str, ...]:
     return ids
 
 
-# a component's fields, kept apart until every element's id is known
-_component = _record(dict, {"kind": _one_of((CIRCLE, INTERVAL), "kind"),
-                            "sequence": _items(_element)},
+_endpoints.write = list
+
+_component = _record(Component, {"kind": _one_of((CIRCLE, INTERVAL), "kind"),
+                                 "sequence": _items(_element)},
                      {"endpoints": _endpoints})
-
-
-def _components(obj: Any, where: str) -> tuple[Component, ...]:
-    # ids are generated only once every explicit id is read, to skip them all
-    comps = _items(_component)(obj, where)
-    explicit = {eid for comp in comps for _, _, eid in comp["sequence"]
-                if eid is not None}
-    names = {FoldArc: _NamePool("a", explicit), Cusp: _NamePool("c", explicit)}
-    return tuple(
-        Component(**{**comp, "sequence": tuple(
-            cls(names[cls].take() if eid is None else eid, index)
-            for cls, index, eid in comp["sequence"])})
-        for comp in comps)
-
-
 # a pattern's boundary point may leave out its sign, which reads +1
 _pattern_point = _record(partial(BoundaryCriticalPoint, sigma=1),
                          {"id": _expect_str, "mu": _expect_int},
                          {"sigma": _sign_from_json})
 _pattern = _record(SingularPattern,
-                   {"n": _expect_int, "components": _components},
+                   {"n": _expect_int, "components": _items(_component)},
                    {"chi_ambient": _expect_int,
                     "boundary_points": _items(_pattern_point)})
 
@@ -277,28 +268,7 @@ def pattern_from_json(obj: Any) -> SingularPattern:
 
 
 def pattern_to_json(p: SingularPattern) -> dict:
-    out: dict[str, Any] = {"n": p.n}
-    if p.chi_ambient is not None:
-        out["chi_ambient"] = p.chi_ambient
-    out["boundary_points"] = [
-        {"id": bp.id, "mu": bp.mu, "sigma": bp.sigma}
-        for bp in p.boundary_points
-    ]
-    comps = []
-    for comp in p.components:
-        item: dict[str, Any] = {"kind": comp.kind}
-        if comp.endpoints is not None:
-            item["endpoints"] = list(comp.endpoints)
-        seq = []
-        for e in comp.sequence:
-            if isinstance(e, FoldArc):
-                seq.append({"arc": {"id": e.id, "tau": e.tau}})
-            else:
-                seq.append({"cusp": {"I": e.normal_index, "id": e.id}})
-        item["sequence"] = seq
-        comps.append(item)
-    out["components"] = comps
-    return out
+    return _pattern.write(p)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +284,7 @@ _MOVE_PARAMS = {
                                  "assume_removable": _expect_bool}),
 }
 _MOVE = {"kind": _one_of(_MOVE_PARAMS, "move kind"), "params": _expect_mapping}
+_expect_mapping.write = dict  # a move's params are written as a copy
 
 
 def _move(obj: Any, where: str) -> Move:
@@ -322,6 +293,7 @@ def _move(obj: Any, where: str) -> Move:
                                         *_MOVE_PARAMS[fields["kind"]]))
 
 
+_move.write = _record(Move, _MOVE).write
 _trace = _record(MoveTrace, {"initial": _pattern, "moves": _items(_move),
                              "final": _pattern})
 
@@ -331,12 +303,7 @@ def trace_from_json(obj: Any) -> MoveTrace:
 
 
 def trace_to_json(trace: MoveTrace) -> dict:
-    return {
-        "initial": pattern_to_json(trace.initial),
-        "moves": [{"kind": m.kind, "params": dict(m.params)}
-                  for m in trace.moves],
-        "final": pattern_to_json(trace.final),
-    }
+    return _trace.write(trace)
 
 
 def obstruction_to_json(ob: Obstruction) -> dict:

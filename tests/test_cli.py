@@ -449,6 +449,16 @@ _NUMBER_FAULTS = [
      "--beta: center 'a' is not a number"),
     (["trace", "perturbed-fold", "--n", "2", "--alpha", "0:1:h"],
      "--alpha: height 'h' is not a number"),
+    (["trace", "fold", "--n", "x"], "--n: 'x' is not an integer"),
+    (["trace", "fold", "--n", "2", "--i", "1.5"],
+     "--i: '1.5' is not an integer"),
+    (["trace", "cusp", "--k", "k"], "--k: 'k' is not an integer"),
+    (["pattern", "check", str(REPO_ROOT / "corpus/two_intervals_n2.json"),
+      "--sigma", str(REPO_ROOT / "corpus/sigma_pp_pp.json"), "--chi-v", "0.5"],
+     "--chi-v: '0.5' is not an integer"),
+    # the model checks its own range
+    (["trace", "fold", "--n", "1"], "ambient dimension must be >= 2, got 1"),
+    (["trace", "fold", "--n", "3", "--i", "9"], "fold index 9 outside [0, 2]"),
 ]
 
 
@@ -458,6 +468,18 @@ def test_number_options_are_reported_in_the_tools_words(argv, message,
                                                          capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_an_element_without_an_id_is_refused(tmp_path, capsys):
+    doc = json.loads((REPO_ROOT / "corpus" / "interval_0cusp.json").read_text(
+        encoding="utf-8"))
+    del doc["components"][0]["sequence"][0]["arc"]["id"]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pattern", "validate", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: pattern.components[0]"
+                                       f".sequence[0].arc: missing keys "
+                                       f"['id']\n")
 
 
 def test_a_csv_without_samples_keeps_its_columns(capsys):

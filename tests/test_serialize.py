@@ -1,5 +1,6 @@
 """JSON wire formats: round trips, strict key checking, fraction values."""
 
+import ast
 import json
 import random
 from copy import deepcopy
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspcobord.cli import _write_json_file
 from cuspcobord.errors import SchemaError
 from cuspcobord.moves import Move, MoveTrace
 from cuspcobord.pattern import CIRCLE, INTERVAL
@@ -115,26 +117,14 @@ class TestPattern:
                 p = build_pattern(n, (shape,))
                 assert pattern_from_json(pattern_to_json(p)) == p
 
-    def test_ids_autogenerated_when_omitted(self):
-        obj = {"n": 2, "boundary_points": [],
-               "components": [{"kind": "circle",
-                               "sequence": [{"arc": {"tau": 1}},
-                                            {"cusp": {"I": 0}},
-                                            {"arc": {"tau": 1, "id": "a0"}},
-                                            {"cusp": {"I": 0}}]}]}
-        p = pattern_from_json(obj)
-        ids = [e.id for e in p.components[0].sequence]
-        # the explicit id is kept; generated ones never collide with it
-        assert "a0" in ids
-        assert len(set(ids)) == 4
-
     def test_sigma_on_boundary_defaults_to_plus(self):
         obj = {"n": 2,
                "boundary_points": [{"id": "x0", "mu": 0},
                                    {"id": "x1", "mu": 0, "sigma": -1}],
                "components": [{"kind": "interval",
                                "endpoints": ["x0", "x1"],
-                               "sequence": [{"arc": {"tau": 1}}]}]}
+                               "sequence": [{"arc": {"id": "a0",
+                                                     "tau": 1}}]}]}
         p = pattern_from_json(obj)
         assert p.boundary_points[0].sigma == 1
         assert p.boundary_points[1].sigma == -1
@@ -149,7 +139,8 @@ class TestPattern:
     def test_chi_ambient_is_optional(self):
         obj = {"n": 2, "chi_ambient": 2, "boundary_points": [],
                "components": [{"kind": "circle",
-                               "sequence": [{"arc": {"tau": 1}}]}]}
+                               "sequence": [{"arc": {"id": "a0",
+                                                     "tau": 1}}]}]}
         assert pattern_from_json(obj).chi_ambient == 2
 
 
@@ -305,3 +296,45 @@ def test_single_faults_read_or_name_their_path(name):
             assert "\n" not in message
             assert message.startswith((here + ": ", parent + ": ")), \
                 (here, message)
+
+
+_WRITERS = {"descriptor": descriptor_to_json, "pattern": pattern_to_json,
+            "sigma": sigma_to_json, "trace": trace_to_json}
+
+
+def _written(root: str, doc, path) -> str:
+    """``doc`` read, then written back to ``path`` as the CLI writes."""
+    _write_json_file(path, _WRITERS[root](_READERS[root](doc)))
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(_WIRE_DOCUMENTS))
+def test_every_document_is_written_back_byte_for_byte(name, tmp_path):
+    """Each committed document reads and writes back to its own bytes; a
+    pattern whose boundary points leave out their signs gets them as +1,
+    and is then a fixed point."""
+    root, doc = _WIRE_DOCUMENTS[name]
+    written = _written(root, doc, tmp_path / name)
+    if any("sigma" not in bp for bp in doc.get("boundary_points", ())):
+        signed = deepcopy(doc)
+        for bp in signed["boundary_points"]:
+            bp.setdefault("sigma", 1)
+        assert json.loads(written) == signed
+        assert _written(root, signed, tmp_path / name) == written
+    else:
+        folder = "golden" if root == "trace" else "corpus"
+        assert written == (REPO_ROOT / folder / name).read_text(
+            encoding="utf-8")
+
+
+def test_serialize_imports_no_private_name():
+    """The wire formats use only the public names of the package's other
+    modules."""
+    source = (REPO_ROOT / "src" / "cuspcobord" / "serialize.py").read_text(
+        encoding="utf-8")
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.ImportFrom) and (
+                   node.level or node.module.startswith("cuspcobord"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -335,11 +335,27 @@ def _number(text: str, field: str = "") -> float:
         raise ValueError(f"{field} {text!r} is not a number".lstrip()) from None
 
 
-def _integer(text: str) -> int:
+def _integer(text: str, field: str = "") -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"{text!r} is not an integer") from None
+        raise ValueError(
+            f"{field} {text!r} is not an integer".lstrip()) from None
+
+
+def _grid(text: str) -> nf.GridSpec:
+    axes = []
+    for part in text.split(","):
+        bits = part.split(":")
+        if len(bits) != 3:
+            raise ValueError(
+                f"axis spec {part!r} is not of the form lo:hi:count")
+        try:
+            axes.append((_number(bits[0], "lo"), _number(bits[1], "hi"),
+                         _integer(bits[2], "count")))
+        except ValueError as exc:
+            raise ValueError(f"axis spec {part!r}: {exc}") from None
+    return nf.GridSpec(tuple(axes))
 
 
 def _bump(text: str) -> nf.PiecewisePoly:
@@ -420,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False, parents=[common])
     shared.add_argument("--n", type=_input(_integer, "--n"), default=3,
                         help="ambient dimension")
-    shared.add_argument("--grid", type=_input(nf.GridSpec.parse, "--grid"),
+    shared.add_argument("--grid", type=_input(_grid, "--grid"),
                         help="seed grid lo:hi:count per axis, comma-separated")
     shared.add_argument("--tol", type=_input(_positive, "--tol"), default=1e-9,
                         help="residual tolerance for singular points")

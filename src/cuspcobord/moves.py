@@ -285,19 +285,19 @@ def _record(s: _State, move: Move) -> None:
     s.moves.append(move)
 
 
-def _create(s: _State, arc_id: str, i: int, flip: bool = False
+def _create(s: _State, arc: str, i: int, flip: bool = False
             ) -> tuple[str, str, str, Optional[str]]:
     """Create the pair; returns the ids of the two cusps, the inner arc and
     the new right arc (None on a bare circle, whose arc is not split)."""
-    _record(s, Move("create_cusp_pair", {"arc": arc_id, "i": i, "flip": flip}))
+    _record(s, Move("create_cusp_pair", {"arc": arc, "i": i, "flip": flip}))
     n = s.n
     if not 0 <= i <= n - 2:
         raise PreconditionError(f"cusp index i={i} outside [0, {n - 2}]")
-    w, pos, arc = s.find(arc_id, FoldArc)
+    w, pos, host = s.find(arc, FoldArc)
     want = max(i, n - 1 - i)
-    if arc.tau != want:
+    if host.tau != want:
         raise PreconditionError(
-            f"arc {arc_id!r} has tau={arc.tau}; creating a pair with i={i} "
+            f"arc {arc!r} has tau={host.tau}; creating a pair with i={i} "
             f"needs tau={want}")
     cusps, arcs = s.names["c"], s.names["a"]
     c1 = Cusp(cusps.take(), n - 2 - i if flip else i)
@@ -305,13 +305,13 @@ def _create(s: _State, arc_id: str, i: int, flip: bool = False
     inner = FoldArc(arcs.take(), max(i + 1, n - 2 - i))
     if w.kind == CIRCLE and len(w.sequence) == 1:
         # the remainder of a bare circle is a single arc, so no split
-        right = arc
+        right = host
         new = (c1, inner, c2)
     else:
         right = FoldArc(arcs.take(), want)
         new = (c1, inner, c2, right)
     s.splice(w, pos, new)
-    return c1.id, c2.id, inner.id, None if right is arc else right.id
+    return c1.id, c2.id, inner.id, None if right is host else right.id
 
 
 def create_cusp_pair(p: SingularPattern, arc_id: str, i: int,
@@ -443,15 +443,15 @@ def legal_reconnections(p: SingularPattern, c1_id: str,
                         in _fused_ends(at1, at2, recon)))
 
 
-def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
-               assume_removable: bool) -> list[_Word]:
+def _eliminate(s: _State, cusp1: str, cusp2: str, reconnection: str = STAY,
+               assume_removable: bool = False) -> list[_Word]:
     """Eliminate the pair; returns the words it leaves in place of the ones
     it cut (intervals first, then circles).  The drivers vouch for
     removability in dimension 2 themselves (``s.n == 2``)."""
     _record(s, Move("eliminate_matching_pair", {
-        "cusp1": c1_id, "cusp2": c2_id, "reconnection": reconnection,
+        "cusp1": cusp1, "cusp2": cusp2, "reconnection": reconnection,
         "assume_removable": assume_removable}))
-    at1, at2 = _matching_pair(s.n, s.find, c1_id, c2_id)
+    at1, at2 = _matching_pair(s.n, s.find, cusp1, cusp2)
     if s.n == 2 and not assume_removable:
         raise PreconditionError(
             "eliminations in ambient dimension 2 need assume_removable=True")
@@ -474,7 +474,7 @@ def _eliminate(s: _State, c1_id: str, c2_id: str, reconnection: str,
     paths = [path for w, at in cuts for path in _cut(w, at)]
     intervals, circles, dropped = _glue(paths, fusions)
     return s.rewire([w for w, _ in cuts], intervals + circles,
-                    [c1_id, c2_id] + dropped)
+                    [cusp1, cusp2] + dropped)
 
 
 def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
@@ -492,17 +492,15 @@ def eliminate_matching_pair(p: SingularPattern, c1_id: str, c2_id: str,
     return s.pattern()
 
 
+# each atomic move by kind; a move's params are its keyword arguments
+_MOVES = {"create_cusp_pair": _create, "eliminate_matching_pair": _eliminate}
+
+
 def _apply(s: _State, move: Move):
     """Replay one recorded move on the run's state."""
-    k, params = move.kind, move.params
-    if k == "create_cusp_pair":
-        return _create(s, params["arc"], params["i"],
-                       params.get("flip", False))
-    if k == "eliminate_matching_pair":
-        return _eliminate(s, params["cusp1"], params["cusp2"],
-                          params.get("reconnection", STAY),
-                          params.get("assume_removable", False))
-    raise PreconditionError(f"unknown move kind {k!r}")
+    if move.kind not in _MOVES:
+        raise PreconditionError(f"unknown move kind {move.kind!r}")
+    return _MOVES[move.kind](s, **move.params)
 
 
 def _ladder_to(s: _State, w: _Word, target_tau: int) -> str:

@@ -494,27 +494,6 @@ class GridSpec:
             if not np.isfinite(hi - lo):
                 raise ValueError("axis span hi - lo must be finite")
 
-    @classmethod
-    def parse(cls, text: str) -> "GridSpec":
-        """Parse 'lo:hi:count' axis specs separated by commas."""
-        axes = []
-        for part in text.split(","):
-            bits = part.split(":")
-            if len(bits) != 3:
-                raise ValueError(
-                    f"axis spec {part!r} is not of the form lo:hi:count")
-            axis = []
-            for field, read, bit in zip(("lo", "hi", "count"),
-                                        (float, float, int), bits):
-                try:
-                    axis.append(read(bit))
-                except ValueError:
-                    what = "an integer" if read is int else "a number"
-                    raise ValueError(f"axis spec {part!r}: {field} {bit!r} "
-                                     f"is not {what}") from None
-            axes.append(tuple(axis))
-        return cls(tuple(axes))
-
     @property
     def size(self) -> int:
         """Number of grid points."""

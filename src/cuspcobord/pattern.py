@@ -301,7 +301,7 @@ def _require(p: SingularPattern, sigma: Optional[SignAssignment] = None,
     validate_pattern(p).require("pattern")
     if sigma is not None:
         _require_domain(p.boundary_points, sigma)
-    if chi_V is not None and not cusp_parity_check(p, chi_V):
+    if chi_V is not None and not _parity_ok(p, chi_V):
         raise PreconditionError(
             f"cusp-parity law fails: {p.total_cusps} cusps vs chi_V={chi_V} "
             f"and {len(p.boundary_points)} boundary points")
@@ -351,13 +351,15 @@ def check_condition_odd(p: SingularPattern,
     return [_odd_ok(comp, by_id, sigma) for comp in p.components]
 
 
+def _parity_ok(p: SingularPattern, chi_V: int) -> bool:
+    # a valid pattern ends one interval on each boundary point: an even count
+    return (p.total_cusps - chi_V - len(p.boundary_points) // 2) % 2 == 0
+
+
 def cusp_parity_check(p: SingularPattern, chi_V: int) -> bool:
     """Global parity law: total cusps == chi_V + #boundary/2 (mod 2)."""
-    k = len(p.boundary_points)
-    if k % 2 != 0:
-        raise PreconditionError(
-            f"{k} boundary points; the count must be even")
-    return (p.total_cusps - chi_V - k // 2) % 2 == 0
+    _require(p)
+    return _parity_ok(p, chi_V)
 
 
 def aggregate_even(p: SingularPattern, sigma: SignAssignment,

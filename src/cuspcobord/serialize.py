@@ -23,7 +23,7 @@ from .morse import (
     InteriorCriticalPoint,
     MorseDescriptor,
 )
-from .moves import Move, MoveTrace, Obstruction
+from .moves import SPLIT, STAY, Move, MoveTrace, Obstruction
 from .pattern import (
     CIRCLE,
     INTERVAL,
@@ -256,7 +256,8 @@ _component = _record(Component, {"kind": _one_of((CIRCLE, INTERVAL), "kind"),
 # a pattern's boundary point may leave out its sign, which reads +1
 _pattern_point = _record(partial(BoundaryCriticalPoint, sigma=1),
                          {"id": _expect_str, "mu": _expect_int},
-                         {"sigma": _sign_from_json})
+                         {"sigma": _sign_from_json,
+                          "value": _fraction_from_json})
 _pattern = _record(SingularPattern,
                    {"n": _expect_int, "components": _items(_component)},
                    {"chi_ambient": _expect_int,
@@ -275,13 +276,14 @@ def pattern_to_json(p: SingularPattern) -> dict:
 # move traces and obstructions
 
 
-# required and optional parameters of each move kind, with their readers
+# the parameters of each move kind, every one required, with their readers
 _MOVE_PARAMS = {
-    "create_cusp_pair": ({"arc": _expect_str, "i": _expect_int},
-                         {"flip": _expect_bool}),
-    "eliminate_matching_pair": ({"cusp1": _expect_str, "cusp2": _expect_str},
-                                {"reconnection": _expect_str,
-                                 "assume_removable": _expect_bool}),
+    "create_cusp_pair": {"arc": _expect_str, "i": _expect_int,
+                         "flip": _expect_bool},
+    "eliminate_matching_pair": {
+        "cusp1": _expect_str, "cusp2": _expect_str,
+        "reconnection": _one_of((STAY, SPLIT), "reconnection"),
+        "assume_removable": _expect_bool},
 }
 _MOVE = {"kind": _one_of(_MOVE_PARAMS, "move kind"), "params": _expect_mapping}
 _expect_mapping.write = dict  # a move's params are written as a copy
@@ -290,7 +292,7 @@ _expect_mapping.write = dict  # a move's params are written as a copy
 def _move(obj: Any, where: str) -> Move:
     fields = _fields(obj, where, _MOVE)
     return Move(fields["kind"], _fields(fields["params"], where + ".params",
-                                        *_MOVE_PARAMS[fields["kind"]]))
+                                        _MOVE_PARAMS[fields["kind"]]))
 
 
 _move.write = _record(Move, _MOVE).write

@@ -456,6 +456,14 @@ _NUMBER_FAULTS = [
     (["pattern", "check", str(REPO_ROOT / "corpus/two_intervals_n2.json"),
       "--sigma", str(REPO_ROOT / "corpus/sigma_pp_pp.json"), "--chi-v", "0.5"],
      "--chi-v: '0.5' is not an integer"),
+    (["trace", "fold", "--n", "2", "--grid", "-1:1"],
+     "--grid: axis spec '-1:1' is not of the form lo:hi:count"),
+    (["trace", "fold", "--n", "2", "--grid", "x:1:3,0:0:1"],
+     "--grid: axis spec 'x:1:3': lo 'x' is not a number"),
+    (["trace", "fold", "--n", "2", "--grid", "0:1:3,0:y:1"],
+     "--grid: axis spec '0:y:1': hi 'y' is not a number"),
+    (["trace", "fold", "--n", "2", "--grid", "0:1:3,0:0:1.5"],
+     "--grid: axis spec '0:0:1.5': count '1.5' is not an integer"),
     # the model checks its own range
     (["trace", "fold", "--n", "1"], "ambient dimension must be >= 2, got 1"),
     (["trace", "fold", "--n", "3", "--i", "9"], "fold index 9 outside [0, 2]"),
@@ -468,6 +476,19 @@ def test_number_options_are_reported_in_the_tools_words(argv, message,
                                                          capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_the_parser_is_built_without_the_numeric_library(monkeypatch):
+    """Building the parser and reading a descriptor command's arguments
+    touch nothing of ``normal_forms``: only a trace reads it."""
+    class Untouchable:  # every name the module holds is missing here
+        def __getattr__(self, name):
+            raise AssertionError(f"normal_forms.{name} was read")
+
+    monkeypatch.setattr(cli, "nf", Untouchable())
+    args = cli._build_parser().parse_args(
+        ["invariant", str(REPO_ROOT / "corpus" / "fig2.json")])
+    assert args.file.n == 2
 
 
 def test_an_element_without_an_id_is_refused(tmp_path, capsys):
@@ -600,6 +621,13 @@ class TestJsonMode:
         assert payload["kind"] == "fold"
         assert payload["content"].startswith("<svg")
 
+    def test_trace_echoes_its_grid(self, capsys):
+        assert main(["trace", "fold", "--n", "2", "--grid", "-1:1:3,0:2:2",
+                     "--csv", "--json"]) == 0
+        grid = json.loads(capsys.readouterr().out)["grid"]
+        assert grid == [[-1.0, 1.0, 3], [0.0, 2.0, 2]]
+        assert [type(v) for axis in grid for v in axis] == [float, float,
+                                                           int] * 2
 
     def test_curve_distance_without_samples_is_null(self, capsys):
         # no seed of this one-point grid has an exactly zero residual
@@ -870,6 +898,20 @@ class TestArtifacts:
         assert main(["trace", *argv.split()]) == 0
         got = capsys.readouterr().out
         assert hashlib.sha256(got.encode()).hexdigest() == digest
+
+    # two grids whose neighbouring samples have a Hessian determinant of
+    # exactly 0.0 next to a nonzero one: the cusp hunt's zero guards decide
+    # both outputs (dropping either guard changes one of them)
+    @pytest.mark.parametrize("argv, csv", [
+        ("--n 2 --grid=-3:0:2,0:1:2",
+         "t,z1,residual,class\n0,0,0,unknown\n-3,1,0,fold(0)\n"),
+        ("--n 3 --k 1 --tol 1e-300 --grid=-3:0:2,-1:0:2,0:0:1",
+         "t,z1,z2,residual,class\n-3,-1,0,0,fold(2)\n"
+         "0,0,0,0,cusp-candidate\n"),
+    ])
+    def test_cusp_hunt_skips_a_zero_determinant(self, argv, csv, capsys):
+        assert main(["trace", "cusp", *argv.split(), "--csv"]) == 0
+        assert capsys.readouterr() == (csv, "")
 
 
 # pattern files with a sign assignment each; only odd_circle_n2's does not

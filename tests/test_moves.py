@@ -34,6 +34,7 @@ from cuspcobord.pattern import (
     aggregate_odd,
     check_condition_even,
     check_condition_odd,
+    cusp_parity_check,
     validate_pattern,
     vector_field_exists,
 )
@@ -331,6 +332,27 @@ class TestApplyAndReplay:
                                    {"arc": "a0", "i": 0, "flip": False}),), q)
         assert replay(trace) == q
 
+    @pytest.mark.parametrize("params", [
+        {"i": 0, "flip": False},                             # no arc
+        {"arc": "a0", "i": 0, "flip": False, "colour": 1},   # unknown key
+    ], ids=["missing", "unknown"])
+    def test_params_are_the_moves_arguments(self, params):
+        p = build_pattern(2, (("circle", (1,), ()),))
+        with pytest.raises(TypeError):
+            replay(MoveTrace(p, (Move("create_cusp_pair", params),), p))
+
+    def test_left_out_params_take_the_public_defaults(self):
+        p = build_pattern(2, (("circle", (1,), ()),))
+        q = create_cusp_pair(p, "a0", 0)
+        created = MoveTrace(p, (Move("create_cusp_pair",
+                                     {"arc": "a0", "i": 0}),), q)
+        assert replay(created) == q
+        c1, c2 = cusp_ids(q)
+        eliminated = MoveTrace(q, (Move("eliminate_matching_pair",
+                                        {"cusp1": c1, "cusp2": c2}),), q)
+        with pytest.raises(PreconditionError, match="assume_removable"):
+            replay(eliminated)
+
 
 class TestNormalizeEven:
     def test_success_on_two_plus_plus_intervals(self):
@@ -504,6 +526,7 @@ PUBLIC_ENTRY_POINTS = {
     "check_condition_odd": lambda: check_condition_odd(BAD_ODD, SIGMA_ODD),
     "aggregate_even": lambda: aggregate_even(BAD_EVEN, SIGMA_EVEN, 0),
     "aggregate_odd": lambda: aggregate_odd(BAD_ODD, SIGMA_ODD),
+    "cusp_parity_check": lambda: cusp_parity_check(BAD_EVEN, 0),
 }
 
 

@@ -4,13 +4,18 @@ import ast
 import json
 import random
 from copy import deepcopy
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cuspcobord.cli import _write_json_file
 from cuspcobord.errors import SchemaError
-from cuspcobord.moves import Move, MoveTrace
+from cuspcobord.invariants import SignAssignment
+from cuspcobord.morse import BoundaryCriticalPoint
+from cuspcobord.moves import Move, MoveTrace, normalize_even, normalize_odd
 from cuspcobord.pattern import CIRCLE, INTERVAL
 from cuspcobord.serialize import (
     descriptor_from_json,
@@ -25,7 +30,8 @@ from cuspcobord.serialize import (
 )
 
 from _corpus import REPO_ROOT, json_nodes
-from _enumeration import build_pattern, random_descriptor, single_shapes
+from _enumeration import (build_pattern, patterns_up_to, random_descriptor,
+                          single_shapes)
 
 
 class TestDescriptor:
@@ -136,6 +142,16 @@ class TestPattern:
         with pytest.raises(SchemaError):
             pattern_from_json(obj)
 
+    def test_boundary_values_round_trip(self):
+        p = replace(build_pattern(2, (("interval", (1,), (), 0, 0),)),
+                    boundary_points=(
+                        BoundaryCriticalPoint("x0", 0, 1, Fraction(1, 2)),
+                        BoundaryCriticalPoint("x1", 0, -1)))
+        obj = pattern_to_json(p)
+        assert obj["boundary_points"][0]["value"] == "1/2"
+        assert "value" not in obj["boundary_points"][1]
+        assert pattern_from_json(obj) == p
+
     def test_chi_ambient_is_optional(self):
         obj = {"n": 2, "chi_ambient": 2, "boundary_points": [],
                "components": [{"kind": "circle",
@@ -197,6 +213,28 @@ class TestTrace:
                            match=rf"trace\.moves\[{move}\]\.params\.{key}"):
             trace_from_json(obj)
 
+    @pytest.mark.parametrize("move, key, message", [
+        (0, "flip", "trace.moves[0].params: missing keys ['flip']"),
+        (3, "reconnection",
+         "trace.moves[3].params: missing keys ['reconnection']"),
+        (3, "assume_removable",
+         "trace.moves[3].params: missing keys ['assume_removable']"),
+    ], ids=["flip", "reconnection", "assume_removable"])
+    def test_every_parameter_is_required(self, move, key, message):
+        obj = _golden_trace()
+        del obj["moves"][move]["params"][key]
+        with pytest.raises(SchemaError) as caught:
+            trace_from_json(obj)
+        assert str(caught.value) == message
+
+    def test_reconnection_is_stay_or_split(self):
+        obj = _golden_trace()
+        obj["moves"][3]["params"]["reconnection"] = "sideways"
+        with pytest.raises(SchemaError) as caught:
+            trace_from_json(obj)
+        assert str(caught.value) == ("trace.moves[3].params.reconnection: "
+                                     "unknown reconnection 'sideways'")
+
     @pytest.mark.parametrize("side", ["initial", "final"])
     def test_pattern_errors_name_their_side(self, side):
         with open(REPO_ROOT / "golden" / "trace_odd.json",
@@ -206,6 +244,12 @@ class TestTrace:
         with pytest.raises(SchemaError, match=rf"^trace\.{side}\.components"
                                               r"\[0\]\.kind: unknown kind"):
             trace_from_json(obj)
+
+
+def _golden_trace() -> dict:
+    with open(REPO_ROOT / "golden" / "trace_odd.json",
+              encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestObstruction:
@@ -338,3 +382,65 @@ def test_serialize_imports_no_private_name():
                    node.level or node.module.startswith("cuspcobord"))
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+# ---------------------------------------------------------------------------
+# every writer is its reader's inverse, over values the library builds
+
+_VALUES = st.none() | st.fractions()
+
+
+def _with_values(draw, points: tuple) -> tuple:
+    return tuple(replace(point, value=draw(_VALUES)) for point in points)
+
+
+@st.composite
+def _descriptors(draw):
+    d = random_descriptor(draw(st.integers(2, 5)),
+                          draw(st.randoms(use_true_random=False)))
+    return replace(d, interior=_with_values(draw, d.interior),
+                   boundary=_with_values(draw, d.boundary))
+
+
+@st.composite
+def _patterns(draw):
+    n = draw(st.integers(2, 4))
+    shapes = draw(st.lists(st.sampled_from(single_shapes(n, 2)),
+                           min_size=1, max_size=3))
+    p = build_pattern(n, tuple(shapes), draw(st.none() | st.integers(-3, 3)))
+    signed = tuple(replace(point, sigma=draw(st.sampled_from((1, -1))))
+                   for point in p.boundary_points)
+    return replace(p, boundary_points=_with_values(draw, signed))
+
+
+# the enumerated patterns of up to 2 components and 2 cusps, by dimension
+_SMALL_PATTERNS = {n: list(patterns_up_to(n, 2, 2)) for n in (2, 3, 4)}
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.sampled_from(sorted(_SMALL_PATTERNS)))
+    p = draw(st.sampled_from(_SMALL_PATTERNS[n]))
+    sigma = SignAssignment({point.id: draw(st.sampled_from((1, -1)))
+                            for point in p.boundary_points})
+    if n % 2:
+        out = normalize_odd(p, sigma)
+    else:
+        k = len(p.boundary_points)
+        out = normalize_even(p, sigma, (p.total_cusps - k // 2) % 2)
+    assume(isinstance(out, MoveTrace))
+    return out
+
+
+class TestWritersInvertReaders:
+    @given(_descriptors())
+    def test_descriptors(self, d):
+        assert descriptor_from_json(descriptor_to_json(d)) == d
+
+    @given(_patterns())
+    def test_patterns(self, p):
+        assert pattern_from_json(pattern_to_json(p)) == p
+
+    @given(_traces())
+    def test_traces(self, trace):
+        assert trace_from_json(trace_to_json(trace)) == trace

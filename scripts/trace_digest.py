@@ -13,7 +13,9 @@ normalization contributes its trace or obstruction as sorted-key JSON
   assignment each.
 
 Every trace is also replayed, and the script fails if a replay does not
-reproduce its final pattern.  It takes a few minutes:
+reproduce its final pattern.  It exits 1, printing both lines, if the
+digest differs from ``RECORDED``; a change that means to alter the
+traces records its new line there.  It takes a few minutes:
 
     python3 scripts/trace_digest.py
 """
@@ -43,6 +45,9 @@ from cuspcobord.serialize import (  # noqa: E402
     pattern_from_json,
     trace_to_json,
 )
+
+RECORDED = ("43788ffd94f0f784c8830ecc49edd4fb917eb04aa8abea089e651d3e6be60aef"
+            "  1193588 normalizations")
 
 
 def _load_bench_gen():
@@ -97,7 +102,12 @@ def main() -> int:
                 doc = obstruction_to_json(out)
             digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
             runs += 1
-    print(f"{digest.hexdigest()}  {runs} normalizations")
+    line = f"{digest.hexdigest()}  {runs} normalizations"
+    print(line)
+    if line != RECORDED:
+        print(f"differs from the recorded digest:\n{RECORDED}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

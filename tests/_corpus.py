@@ -1,5 +1,5 @@
 """Run corpus/commands.json entries in-process: for the CLI suites, the
-corpus replay and the corpus generator alike.  Also walks the nodes of a
+corpus replay and the golden writer alike.  Also walks the nodes of a
 JSON document, for the suites that mutate corpus files."""
 
 from __future__ import annotations
@@ -40,23 +40,31 @@ def run_command(argv: list[str], out_files=()
     return code, buf.getvalue().replace(tmp, "{tmp}"), outs
 
 
-def run_entry(spec: dict) -> list[str]:
-    """Run one manifest entry; return mismatch descriptions (empty = ok)."""
-    problems: list[str] = []
+def run_spec(spec: dict) -> tuple[list[str], dict[str, str]]:
+    """Run one manifest entry.  Returns where it breaks the manifest (an
+    exit code other than its ``exit``, an ``out_golden`` file it did not
+    write) and the text of each golden file it writes: stdout under its
+    ``golden`` name, each written artifact under its ``out_golden`` name."""
     out_golden = spec.get("out_golden", {})
     code, stdout, outs = run_command(spec["argv"], out_golden)
-    if code != spec["exit"]:
-        problems.append(f"exit {code} != expected {spec['exit']}")
-    golden = (REPO_ROOT / "golden" / spec["golden"]).read_text(
-        encoding="utf-8")
-    if stdout != golden:
-        problems.append(f"stdout differs from golden/{spec['golden']}")
+    problems = ([] if code == spec["exit"]
+                else [f"exit {code} != expected {spec['exit']}"])
+    texts = {spec["golden"]: stdout}
     for placeholder, name in out_golden.items():
-        expected = (REPO_ROOT / "golden" / name).read_text(encoding="utf-8")
         if outs[placeholder] is None:
             problems.append(f"missing output file {placeholder}")
-        elif outs[placeholder] != expected:
-            problems.append(f"artifact differs from golden/{name}")
+        else:
+            texts[name] = outs[placeholder]
+    return problems, texts
+
+
+def run_entry(spec: dict) -> list[str]:
+    """Run one manifest entry; return mismatch descriptions (empty = ok)."""
+    problems, texts = run_spec(spec)
+    for name, text in texts.items():
+        if text != (REPO_ROOT / "golden" / name).read_text(encoding="utf-8"):
+            what = "stdout" if name == spec["golden"] else "artifact"
+            problems.append(f"{what} differs from golden/{name}")
     return problems
 
 

@@ -231,6 +231,13 @@ class TestExitCodes:
         assert capsys.readouterr() == (
             "", "error: chi_ambient applies only to even n, not n=3\n")
 
+    def test_even_normalize_needs_chi_v(self, capsys):
+        assert main(["pattern", "normalize", _corpus("two_intervals_n2.json"),
+                     "--sigma", _corpus("sigma_pp_pp.json")]) == 2
+        assert capsys.readouterr() == (
+            "", "error: normalizing an even-dimensional pattern needs --chi-v "
+                "or the pattern's chi_ambient\n")
+
     @pytest.mark.parametrize("action", ["check", "normalize"])
     def test_chi_v_and_chi_ambient_must_agree(self, action, tmp_path,
                                               capsys):
@@ -449,6 +456,8 @@ _NUMBER_FAULTS = [
      "--beta: center 'a' is not a number"),
     (["trace", "perturbed-fold", "--n", "2", "--alpha", "0:1:h"],
      "--alpha: height 'h' is not a number"),
+    (["trace", "perturbed-fold", "--alpha", "0:1"],
+     "--alpha: expected center:radius:height, got '0:1'"),
     (["trace", "fold", "--n", "x"], "--n: 'x' is not an integer"),
     (["trace", "fold", "--n", "2", "--i", "1.5"],
      "--i: '1.5' is not an integer"),

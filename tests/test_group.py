@@ -134,6 +134,13 @@ class TestSolver:
                      if mu % 2 == parity][:abs(cp)]
             assert {p.id for p in pts if got.sign(p.id) == 1} == set(first)
 
+    def test_repeated_boundary_ids_are_refused(self):
+        pts = (BoundaryCriticalPoint("x0", 0, 1),
+               BoundaryCriticalPoint("x0", 1, 1))
+        with pytest.raises(PreconditionError,
+                           match="^boundary ids must be distinct$"):
+            solve_sigma_for_target(pts, 3, 1, CobordismClass.of(3, 0))
+
     def test_no_solution_reports_attainable_values(self):
         got = solve_sigma_for_target((), 3, 1, CobordismClass.of(3, 5))
         assert isinstance(got, NoSolution)

@@ -104,6 +104,13 @@ class TestSignedDefect:
         assert lhs == rhs
 
 
+class TestSignAssignment:
+    def test_a_sign_other_than_plus_or_minus_one_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            SignAssignment({"x0": 2})
+        assert str(exc.value) == "sign for 'x0' must be +1 or -1, got 2"
+
+
 class TestCobordismClass:
     def test_even_dimension_reduces_mod_two(self):
         assert CobordismClass.of(2, 5).value == 1
@@ -120,6 +127,17 @@ class TestCobordismClass:
         assert (a - b).value == 7
         z2 = CobordismClass.of(2, 1)
         assert (z2 + z2).value == 0
+
+    def test_even_dimension_refuses_an_unreduced_value(self):
+        with pytest.raises(ValueError, match="^even-dimensional classes live "
+                                             "in Z/2; got value 3$"):
+            CobordismClass(2, 3)
+
+    def test_adding_a_non_class_is_a_type_error(self):
+        with pytest.raises(TypeError) as exc:
+            CobordismClass.of(2, 1) + 1
+        assert str(exc.value) == ("unsupported operand type(s) for +: "
+                                  "'CobordismClass' and 'int'")
 
     def test_cross_dimension_addition_rejected(self):
         with pytest.raises(PreconditionError):

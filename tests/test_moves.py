@@ -255,6 +255,11 @@ class TestToggleParity:
         with pytest.raises(PreconditionError):
             toggle_parity(p, 0)
 
+    def test_a_missing_component_is_refused(self):
+        p = build_pattern(2, (("interval", (1,), (), 0, 0),))
+        with pytest.raises(PreconditionError, match="^no component 1$"):
+            toggle_parity(p, 1)
+
 
 class TestMergeComponents:
     def test_two_intervals_routes_designated_endpoints_together(self):

@@ -79,6 +79,10 @@ class TestPiecewisePoly:
         with pytest.raises(ValueError, match="coefficients must be finite"):
             PiecewisePoly((0.0, 1.0, 2.0), ((0.0, 1.0), (2.0, 0.0, bad)))
 
+    def test_a_single_knot_is_refused(self):
+        with pytest.raises(ValueError, match="^need at least one interval$"):
+            PiecewisePoly((0.0,), ())
+
 
 class TestSmoothBump:
     def test_peak_and_support(self):
@@ -167,6 +171,11 @@ class TestModelConstruction:
         with pytest.raises(ValueError) as exc:
             LocalMap(3, SwallowTail(0.0, 5))
         assert str(exc.value) == "|t| = 0 is outside [0.0001, 10000]"
+
+    def test_an_unknown_kind_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="^unknown model kind <object object at "):
+            LocalMap(2, object())
 
     def test_perturbation_factors_must_have_compact_support(self):
         with pytest.raises(ValueError):
@@ -407,6 +416,12 @@ class TestAnalyticCurve:
                                match=f"quadratic index {index} outside"):
                 SwallowTailCurve(n, 1.0, index)
         assert SwallowTailCurve(3, 1.0, 1).fold_negatives(0.0) == 2
+
+    def test_dimension_one_is_refused(self):
+        # before the index check, which would name index 0 outside [0, -1]
+        with pytest.raises(PreconditionError,
+                           match="^ambient dimension must be >= 2$"):
+            SwallowTailCurve(1, 1.0)
 
 
 class TestPerturbation:

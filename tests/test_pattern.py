@@ -131,6 +131,11 @@ class TestValidationCodes:
                 report = validate_pattern(p)
                 assert report.ok, (shape, report.codes())
 
+    def test_unknown_component_kind_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="^unknown component kind 'blob'$"):
+            Component("blob", ())
+
     def test_empty_component(self):
         p = SingularPattern(2, (Component(CIRCLE, ()),))
         assert "empty-component" in validate_pattern(p).codes()

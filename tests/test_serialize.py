@@ -6,6 +6,7 @@ import random
 from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, given
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 
 from cuspcobord.cli import _write_json_file
 from cuspcobord.errors import SchemaError
+from cuspcobord.group import generator
 from cuspcobord.invariants import SignAssignment
-from cuspcobord.morse import BoundaryCriticalPoint
+from cuspcobord.morse import BoundaryCriticalPoint, MorseDescriptor, reverse
 from cuspcobord.moves import Move, MoveTrace, normalize_even, normalize_odd
 from cuspcobord.pattern import CIRCLE, INTERVAL
 from cuspcobord.serialize import (
@@ -83,6 +85,13 @@ class TestDescriptor:
         with pytest.raises(SchemaError, match=r"descriptor\.interior\[0\]"
                                               r"\.value: bad rational"):
             descriptor_from_json(self._with_value(text))
+
+    def test_a_boolean_value_is_refused(self):
+        # bool is an int to Python, so it would read as 1
+        with pytest.raises(SchemaError) as exc:
+            descriptor_from_json(self._with_value(True))
+        assert str(exc.value) == ("descriptor.interior[0].value: expected an "
+                                  "exact rational, got True")
 
     def test_unknown_keys_rejected(self):
         obj = {"n": 2, "oriented": True, "chi_M": 1, "chi_boundary": 0,
@@ -369,6 +378,33 @@ def test_every_document_is_written_back_byte_for_byte(name, tmp_path):
         folder = "golden" if root == "trace" else "corpus"
         assert written == (REPO_ROOT / folder / name).read_text(
             encoding="utf-8")
+
+
+def _d3_sigma_pm() -> MorseDescriptor:
+    g = generator(3)
+    return replace(g, boundary=(g.boundary[0],
+                                replace(g.boundary[1], sigma=-1)))
+
+
+_DERIVED = {
+    "fig2_reverse.json": lambda: reverse(
+        descriptor_from_json(_WIRE_DOCUMENTS["fig2.json"][1])),
+    "empty.json": lambda: MorseDescriptor.empty(2),
+    **{f"d{n}_generator.json": partial(generator, n) for n in (2, 3, 4, 5)},
+    "d3_sigma_pm.json": _d3_sigma_pm,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVED))
+def test_derived_corpus_inputs_are_what_the_library_builds(name):
+    """The corpus inputs that the library can build are its own values:
+    ``fig2_reverse`` is the inverse of ``fig2`` (so ``cobordant`` compares
+    a class with its negative), ``empty`` is the unit of disjoint union in
+    dimension 2, ``d2``-``d5_generator`` are the generators of Z/2 and Z,
+    and ``d3_sigma_pm`` is the 3-disk generator with its top sign flipped:
+    chi_plus = 1 = chi_M, so the critical-point-free extension condition
+    passes."""
+    assert _WIRE_DOCUMENTS[name][1] == descriptor_to_json(_DERIVED[name]())
 
 
 def test_serialize_imports_no_private_name():

@@ -270,7 +270,7 @@ def _cmd_trace(args) -> int:
     grid = nf.default_grid(m) if args.grid is None else args.grid
     samples, found = args.detect(args, m, grid)
     artifact = (nf.samples_to_csv(m, samples) if args.csv else
-                nf.render_svg([nf.singular_value_curve(m, samples)]))
+                nf.render_svg(nf.singular_value_curve(m, samples)))
     extra = {"tol": args.tol, "format": "csv" if args.csv else "svg",
              "grid": [list(axis) for axis in grid.axes]}
     if args.out is not None:

@@ -39,7 +39,8 @@ class SignAssignment:
 
     def __post_init__(self) -> None:
         for pid, s in self.entries.items():
-            if s not in (1, -1):
+            if (isinstance(s, bool) or not isinstance(s, int)
+                    or s not in (1, -1)):
                 raise ValueError(f"sign for {pid!r} must be +1 or -1, got {s!r}")
 
     def sign(self, point_id: str) -> int:
@@ -47,6 +48,12 @@ class SignAssignment:
 
     def domain(self) -> frozenset[str]:
         return frozenset(self.entries)
+
+
+def _integer(value: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"value must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,6 +68,7 @@ class CobordismClass:
     value: int
 
     def __post_init__(self) -> None:
+        _integer(self.value)
         if self.n % 2 == 0 and self.value not in (0, 1):
             raise ValueError(
                 f"even-dimensional classes live in Z/2; got value {self.value}")
@@ -68,7 +76,7 @@ class CobordismClass:
     @classmethod
     def of(cls, n: int, value: int) -> "CobordismClass":
         """Build a class, reducing mod 2 in even dimension."""
-        return cls(n, value % 2 if n % 2 == 0 else value)
+        return cls(n, _integer(value) % 2 if n % 2 == 0 else value)
 
     @property
     def group(self) -> str:

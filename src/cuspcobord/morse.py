@@ -43,7 +43,8 @@ class BoundaryCriticalPoint:
     value: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.sigma not in (1, -1):
+        if (isinstance(self.sigma, bool) or not isinstance(self.sigma, int)
+                or self.sigma not in (1, -1)):
             raise ValueError(f"sigma must be +1 or -1, got {self.sigma!r}")
 
 
@@ -72,9 +73,9 @@ class MorseDescriptor:
             raise ValueError(f"ambient dimension must be >= 2, got {self.n}")
 
     @classmethod
-    def empty(cls, n: int, oriented: bool = True) -> "MorseDescriptor":
+    def empty(cls, n: int) -> "MorseDescriptor":
         """Descriptor of the empty manifold (unit for disjoint union)."""
-        return cls(n=n, oriented=oriented, chi_M=0, chi_boundary=0)
+        return cls(n=n, oriented=True, chi_M=0, chi_boundary=0)
 
     @functools.cached_property
     def _report(self) -> "ValidationReport":

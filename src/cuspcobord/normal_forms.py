@@ -224,7 +224,11 @@ def _solve_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_steps(H: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Solve H x = G for diagonal H by the division an LU solve makes."""
+    """Solve H x = G for diagonal H by the division an LU solve makes.
+
+    A singular row (the cusp model's x = 0) goes to ``_solve_rows`` alone;
+    in a stacked solve it would send its whole block to the per-row loop.
+    """
     D = H.diagonal(axis1=1, axis2=2)
     regular = np.all(D != 0, axis=1)
     steps = np.empty_like(G)
@@ -612,26 +616,28 @@ def _canonical_key(point: Sequence[float]) -> tuple:
         round(float(point[0]), 12),)
 
 
-def _dedup(points: np.ndarray, radius: float) -> np.ndarray:
-    """The rows in canonical order, dropping each row within ``radius`` of
-    a row kept before it.
+def _dedup(points: np.ndarray) -> np.ndarray:
+    """The rows in canonical order, dropping each row within DEDUP_RADIUS
+    of a row kept before it.
 
     Kept rows are sorted by their leading key, so only those whose leading
-    key lies within 2 * radius below the candidate's can be that close.  An
-    exact repeat of a scanned row is dropped unchecked: the row that kept
-    out its first copy, or that copy itself, is within radius of it.
+    key lies within 2 * DEDUP_RADIUS below the candidate's can be that
+    close.  An exact repeat of a scanned row is dropped unchecked: the row
+    that kept out its first copy, or that copy itself, is within
+    DEDUP_RADIUS of it.
     """
     keys = [_canonical_key(p) for p in points.tolist()]
     kept = np.empty_like(points)
     leads: list[float] = []
-    seen: set[bytes] = set()
+    seen: set[bytes] = set()  # most converged rows repeat one exactly
     for i in sorted(range(len(keys)), key=keys.__getitem__):
         row = points[i].tobytes()
         if row in seen:
             continue
         seen.add(row)
-        near = kept[bisect_left(leads, keys[i][0] - 2 * radius):len(leads)]
-        if np.all(_row_norms(points[i] - near) > radius):
+        near = kept[bisect_left(leads, keys[i][0] - 2 * DEDUP_RADIUS):
+                    len(leads)]
+        if np.all(_row_norms(points[i] - near) > DEDUP_RADIUS):
             kept[len(leads)] = points[i]
             leads.append(keys[i][0])
     return kept[:len(leads)]
@@ -660,7 +666,7 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
         z, res = _newton_rows(m, seeds[:, 0], seeds[:, 1:])
         ok = res < tol
         converged.append(np.column_stack([seeds[ok, 0], z[ok]]))
-    kept = _dedup(np.concatenate(converged), DEDUP_RADIUS)
+    kept = _dedup(np.concatenate(converged))
     H = _z_hess_rows(m, kept[:, 0], kept[:, 1:])
 
     # hunt cusps between neighbors whose Hessian determinant changes sign
@@ -683,7 +689,7 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
 
     polished, res = _damped_newton(
         cusp_system, polish_step, (kept[:-1][flips] + kept[1:][flips]) / 2, 60)
-    cusp_points = _dedup(polished[res < 1e-9], DEDUP_RADIUS)
+    cusp_points = _dedup(polished[res < 1e-9])
 
     coarse = np.ones(len(kept), dtype=bool)
     for c in cusp_points:
@@ -864,9 +870,9 @@ def singular_value_curve(m: LocalMap,
 _SVG_W, _SVG_H, _SVG_MARGIN = 480.0, 360.0, 24.0
 
 
-def render_svg(curves: Sequence[PlanarCurve]) -> str:
-    """Deterministic SVG for singular-value curves; byte-stable per input."""
-    points = [p for c in curves for p in c.points + c.cusps]
+def render_svg(curve: PlanarCurve) -> str:
+    """Deterministic SVG of one singular-value curve; byte-stable per input."""
+    points = curve.points + curve.cusps
     xs, ys = [x for x, _ in points], [y for _, y in points]
     if xs:
         lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
@@ -889,17 +895,16 @@ def render_svg(curves: Sequence[PlanarCurve]) -> str:
         '<style>.fold{fill:none;stroke:#1a1a1a;stroke-width:1.5}'
         '.cusp{fill:#c01515;stroke:none}</style>',
     ]
-    for c in curves:
-        if c.points:
-            coords = []
-            for k, (x, y) in enumerate(c.points):
-                px, py = to_px(x, y)
-                coords.append("%s%.3f,%.3f" % ("M" if k == 0 else "L", px, py))
-            parts.append('<path class="fold" d="%s"/>' % " ".join(coords))
-        for x, y in c.cusps:
+    if curve.points:
+        coords = []
+        for k, (x, y) in enumerate(curve.points):
             px, py = to_px(x, y)
-            parts.append('<circle class="cusp" cx="%.3f" cy="%.3f" r="4"/>'
-                         % (px, py))
+            coords.append("%s%.3f,%.3f" % ("M" if k == 0 else "L", px, py))
+        parts.append('<path class="fold" d="%s"/>' % " ".join(coords))
+    for x, y in curve.cusps:
+        px, py = to_px(x, y)
+        parts.append('<circle class="cusp" cx="%.3f" cy="%.3f" r="4"/>'
+                     % (px, py))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

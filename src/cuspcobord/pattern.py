@@ -118,7 +118,8 @@ class Component:
 
     @functools.cached_property
     def cusp_count(self) -> int:
-        # exact for any word, an invalid one included; kept on the object
+        # exact for any word, an invalid one included; kept on the object,
+        # since the laws, the predicates and the parity law each ask for it
         return sum(1 for e in self.sequence if isinstance(e, Cusp))
 
 

@@ -250,7 +250,7 @@ def test_dedup_matches_the_quadratic_scan():
         # half the rows repeat a center exactly, half move by about radius
         points += (rng.normal(0, 1e-6, points.shape)
                    * rng.integers(0, 2, (600, 1)))
-        got = nf._dedup(points, nf.DEDUP_RADIUS)
+        got = nf._dedup(points)
         want = ref.dedup(list(points), nf.DEDUP_RADIUS)
         assert got.tolist() == [p.tolist() for p in want]
 

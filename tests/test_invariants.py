@@ -110,6 +110,11 @@ class TestSignAssignment:
             SignAssignment({"x0": 2})
         assert str(exc.value) == "sign for 'x0' must be +1 or -1, got 2"
 
+    def test_a_boolean_sign_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            SignAssignment({"x0": True})
+        assert str(exc.value) == "sign for 'x0' must be +1 or -1, got True"
+
 
 class TestCobordismClass:
     def test_even_dimension_reduces_mod_two(self):
@@ -132,6 +137,26 @@ class TestCobordismClass:
         with pytest.raises(ValueError, match="^even-dimensional classes live "
                                              "in Z/2; got value 3$"):
             CobordismClass(2, 3)
+
+    def test_a_boolean_value_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            CobordismClass(2, True)
+        assert str(exc.value) == "value must be an integer, got True"
+
+    def test_a_float_value_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            CobordismClass(3, 1.5)
+        assert str(exc.value) == "value must be an integer, got 1.5"
+
+    def test_of_refuses_a_float_value(self):
+        with pytest.raises(ValueError) as exc:
+            CobordismClass.of(3, 2.5)
+        assert str(exc.value) == "value must be an integer, got 2.5"
+
+    def test_of_names_the_value_before_reducing_it(self):
+        with pytest.raises(ValueError) as exc:
+            CobordismClass.of(2, 2.5)
+        assert str(exc.value) == "value must be an integer, got 2.5"
 
     def test_adding_a_non_class_is_a_type_error(self):
         with pytest.raises(TypeError) as exc:

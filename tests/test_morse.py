@@ -103,6 +103,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             BoundaryCriticalPoint("x", 0, 0)
 
+    def test_a_boolean_sigma_is_refused(self):
+        with pytest.raises(ValueError) as exc:
+            BoundaryCriticalPoint("x0", 0, True)
+        assert str(exc.value) == "sigma must be +1 or -1, got True"
+
 
 class TestReverse:
     def test_reverse_flips_indices_and_signs(self):

@@ -456,19 +456,27 @@ class TestRendering:
     def test_svg_is_deterministic(self):
         curve = PlanarCurve(((0.0, 0.0), (1.0, 1.0), (2.0, 0.5)),
                             cusps=((1.0, 1.0),))
-        assert render_svg([curve]) == render_svg([curve])
+        assert render_svg(curve) == render_svg(curve)
 
     def test_svg_structure(self):
         curve = PlanarCurve(((0.0, 0.0), (1.0, 1.0)), cusps=((0.5, 0.5),))
-        svg = render_svg([curve])
+        svg = render_svg(curve)
         assert svg.startswith("<svg ")
         assert svg.count("<path") == 1
         assert svg.count("<circle") == 1
         assert svg.endswith("</svg>\n")
 
     def test_svg_handles_empty_input(self):
-        svg = render_svg([])
+        svg = render_svg(PlanarCurve(()))
         assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
+
+    def test_an_empty_curve_draws_the_bare_frame(self):
+        assert render_svg(PlanarCurve(())) == (
+            '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360"'
+            ' viewBox="0 0 480 360">\n'
+            '<style>.fold{fill:none;stroke:#1a1a1a;stroke-width:1.5}'
+            '.cusp{fill:#c01515;stroke:none}</style>\n'
+            '</svg>\n')
 
     def test_csv_layout(self):
         m = LocalMap(2, Fold(0))

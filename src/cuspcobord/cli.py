@@ -226,7 +226,8 @@ def _cmd_normalize(args) -> int:
     else:
         if mv.replay(result) != result.final:
             raise AssertionError("trace replay mismatch")
-        doc = serialize.trace_to_json(result)
+        doc = (serialize.trace_to_json(result)  # only what is written
+               if args.json or args.out is not None else None)
         fields = [("status", "normalized"), ("moves", len(result.moves)),
                   ("components", len(result.final.components)),
                   ("cusps", result.final.total_cusps)]

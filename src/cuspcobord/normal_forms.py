@@ -546,7 +546,7 @@ class SingularSample:
 
     point: tuple[float, ...]
     residual: float
-    kind: str  # "fold" | "cusp-candidate" | "unknown"
+    kind: str  # "fold" | "cusp-candidate"
     negative_eigenvalues: Optional[int] = None
 
     def class_label(self) -> str:
@@ -695,17 +695,15 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
     for c in cusp_points:
         coarse &= _row_norms(kept - c) > DEDUP_RADIUS
 
-    # classify the coarse samples by their z-Hessian's eigenvalues; the
-    # polished cusps follow them
+    # classify the coarse samples by their z-Hessian's eigenvalues (a zero
+    # Hessian has dropped rank too); the polished cusps follow them
     points = np.concatenate([kept[coarse], cusp_points])
     residuals = _row_norms(_z_grad_rows(m, points[:, 0], points[:, 1:]))
     eigs = np.linalg.eigvalsh(H[coarse])
     mags = np.abs(eigs)
     labels: list[tuple[str, Optional[int]]] = []
     for e, top, low in zip(eigs, mags.max(axis=1), mags.min(axis=1)):
-        if top < 1e-12:
-            labels.append(("unknown", None))
-        elif low < HESSIAN_RANK_RATIO * top:
+        if top < 1e-12 or low < HESSIAN_RANK_RATIO * top:
             labels.append(("cusp-candidate", None))
         else:
             labels.append(("fold", int(np.sum(e < 0))))

@@ -97,9 +97,8 @@ def residual(m: nf.LocalMap, p: np.ndarray) -> float:
 def classify(m: nf.LocalMap, p: np.ndarray) -> tuple[str, int | None]:
     eigs = np.linalg.eigvalsh(z_hess(m, float(p[0]), p[1:]))
     amax = float(np.max(np.abs(eigs)))
-    if amax < 1e-12:
-        return "unknown", None
-    if float(np.min(np.abs(eigs))) < nf.HESSIAN_RANK_RATIO * amax:
+    if (amax < 1e-12
+            or float(np.min(np.abs(eigs))) < nf.HESSIAN_RANK_RATIO * amax):
         return "cusp-candidate", None
     return "fold", int(np.sum(eigs < 0))
 

@@ -696,6 +696,25 @@ class TestNormalizeOutputs:
         assert out.read_text(encoding="utf-8") == json.dumps(
             doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
+    def test_a_trace_is_built_only_to_be_written(self, monkeypatch):
+        # in text mode without --out nothing writes the trace document, so
+        # none is built, and the report is the golden one without its out=
+        calls = []
+        build = serialize.trace_to_json
+        monkeypatch.setattr(cli.serialize, "trace_to_json",
+                            lambda trace: calls.append(1) or build(trace))
+        spec, = [spec for spec in load_manifest()
+                 if spec["golden"] == "pat_norm_odd.txt"]
+        argv, out = spec["argv"][:-2], spec["argv"][-2:]
+        golden = (REPO_ROOT / "golden" / "pat_norm_odd.txt").read_text(
+            encoding="utf-8")
+        assert run_command(argv)[:2] == (0, golden.replace(
+            "out={tmp}/trace_odd.json\n", ""))
+        assert calls == []
+        for flags in (["--json"], out):
+            assert run_command(argv + flags)[0] == 0
+        assert len(calls) == 2
+
     def test_obstruction_report_fields(self, capsys):
         code = main(["pattern", "normalize",
                      str(REPO_ROOT / "corpus" / "interval_0cusp.json"),
@@ -908,15 +927,18 @@ class TestArtifacts:
         got = capsys.readouterr().out
         assert hashlib.sha256(got.encode()).hexdigest() == digest
 
-    # two grids whose neighbouring samples have a Hessian determinant of
+    # grids whose neighbouring samples have a Hessian determinant of
     # exactly 0.0 next to a nonzero one: the cusp hunt's zero guards decide
-    # both outputs (dropping either guard changes one of them)
+    # the n = 3 outputs (dropping either guard changes one of them)
     @pytest.mark.parametrize("argv, csv", [
         ("--n 2 --grid=-3:0:2,0:1:2",
-         "t,z1,residual,class\n0,0,0,unknown\n-3,1,0,fold(0)\n"),
+         "t,z1,residual,class\n0,0,0,cusp-candidate\n-3,1,0,fold(0)\n"),
         ("--n 3 --k 1 --tol 1e-300 --grid=-3:0:2,-1:0:2,0:0:1",
          "t,z1,z2,residual,class\n-3,-1,0,0,fold(2)\n"
          "0,0,0,0,cusp-candidate\n"),
+        ("--n 3 --k 0 --tol 1e-300 --grid=-3:0:2,0:1:2,0:0:1",
+         "t,z1,z2,residual,class\n0,0,0,0,cusp-candidate\n"
+         "-3,1,0,0,fold(0)\n"),
     ])
     def test_cusp_hunt_skips_a_zero_determinant(self, argv, csv, capsys):
         assert main(["trace", "cusp", *argv.split(), "--csv"]) == 0

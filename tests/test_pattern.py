@@ -711,3 +711,53 @@ def test_the_readme_library_table_lists_each_modules_all():
         for path in (REPO_ROOT / "src" / "cuspcobord").glob("*.py")
         if path.stem != "__init__"}
     assert listed == exported
+
+
+def _referenced_names(source: str) -> set[str]:
+    """The names that source's code references: loaded names, attributes
+    and imported names.  A string, as in ``__all__``, is no reference."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("source, names", [
+    ("f(x.g)\nfrom .m import h\nimport k", {"f", "x", "g", "h", "k"}),
+    ("def f(): ...\nv = 1\n__all__ = ['f', 'w']", set()),
+])
+def test_reference_finder(source, names):
+    assert _referenced_names(source) == names
+
+
+def _kept_table(readme: str) -> set[str]:
+    """module.name of each name in the README's table of names kept with no
+    caller; a bare name is of the module named before it in its cell."""
+    table = readme.split("Names with no caller under `src/`")[1].split(
+        "\n\n")[1]
+    kept, module = set(), ""
+    for cell in re.findall(r"^\| (`.*?) \|", table, re.MULTILINE):
+        for name in re.findall(r"`([\w.]+)`", cell):
+            if "." in name:
+                module, name = name.split(".")
+            kept.add(f"{module}.{name}")
+    return kept
+
+
+def test_a_public_name_without_a_caller_is_in_the_kept_table():
+    # the README's keep rule: a public name stays when code under src/
+    # references it, or when the kept table says what it states
+    paths = sorted((REPO_ROOT / "src" / "cuspcobord").glob("*.py"))
+    referenced = set().union(*(_referenced_names(
+        path.read_text(encoding="utf-8")) for path in paths))
+    unreferenced = {
+        f"{path.stem}.{name}" for path in paths if path.stem != "__init__"
+        for name in importlib.import_module(f"cuspcobord.{path.stem}").__all__
+        if name not in referenced}
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert unreferenced == _kept_table(readme)

@@ -216,8 +216,9 @@ def _cmd_normalize(args) -> int:
     else:
         result = mv.normalize_odd(p, sigma)
 
+    written = args.json or args.out is not None  # only what is written
     if isinstance(result, mv.Obstruction):
-        doc = serialize.obstruction_to_json(result)
+        doc = serialize.obstruction_to_json(result) if written else None
         fields: list[tuple[str, Any]] = [("status", "obstruction")]
         text = [("kind", result.kind)] + [
             (f"witness.{key}", result.witness[key])
@@ -226,8 +227,7 @@ def _cmd_normalize(args) -> int:
     else:
         if mv.replay(result) != result.final:
             raise AssertionError("trace replay mismatch")
-        doc = (serialize.trace_to_json(result)  # only what is written
-               if args.json or args.out is not None else None)
+        doc = serialize.trace_to_json(result) if written else None
         fields = [("status", "normalized"), ("moves", len(result.moves)),
                   ("components", len(result.final.components)),
                   ("cusps", result.final.total_cusps)]

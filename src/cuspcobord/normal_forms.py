@@ -650,10 +650,10 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
     Newton runs in the z-coordinates at each seed's fixed first coordinate;
     converged points are deduplicated, classified by the z-Hessian, and
     cusps are polished: a Hessian-determinant sign change between
-    neighboring samples seeds a second Newton iteration on the extended
-    system, and the sharpened cusp replaces any coarse samples near it.
-    A tolerance that is not positive and a grid of more than MAX_SEEDS
-    seeds are refused before any work.
+    neighbors seeds Newton on the extended system, and the sharpened cusp
+    replaces coarse samples near it.  Every sample returned, coarse or
+    polished, has a residual (z-gradient norm) below ``tol``, which must be
+    positive; a grid of more than MAX_SEEDS seeds is refused before work.
     """
     if not tol > 0:
         raise PreconditionError("tolerance must be positive")
@@ -689,7 +689,8 @@ def detect_singular_set(m: LocalMap, grid: GridSpec,
 
     polished, res = _damped_newton(
         cusp_system, polish_step, (kept[:-1][flips] + kept[1:][flips]) / 2, 60)
-    cusp_points = _dedup(polished[res < 1e-9])
+    grad = _row_norms(_z_grad_rows(m, polished[:, 0], polished[:, 1:]))
+    cusp_points = _dedup(polished[(res < 1e-9) & (grad < tol)])
 
     coarse = np.ones(len(kept), dtype=bool)
     for c in cusp_points:
@@ -818,8 +819,8 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
                          beta: PiecewisePoly, tol: float = 1e-8,
                          grid: Optional[GridSpec] = None
                          ) -> PerturbedFoldReport:
-    """Verify that the perturbed fold's singular set is the parameter axis
-    and its singular-value curve is the graph of t -> alpha(t) * beta(0)."""
+    """Check at ``tol``, the one tolerance of detection and of ``ok``, that
+    the singular set is the t-axis and its values t -> alpha(t) * beta(0)."""
     sup = perturbation_supremum(alpha, beta)
     if not sup < 1.0 - PERTURBATION_MARGIN:
         raise PreconditionError(
@@ -828,7 +829,7 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
     m = LocalMap(n, PerturbedFold(index, alpha, beta))
     if grid is None:
         grid = default_grid(m)
-    samples = detect_singular_set(m, grid, tol=max(tol, 1e-10))
+    samples = detect_singular_set(m, grid, tol=tol)
     max_axis = max_img = 0.0
     for s in samples:
         max_axis = max(max_axis, float(np.linalg.norm(s.point[1:])))

@@ -207,7 +207,7 @@ def detect(m: nf.LocalMap, grid: nf.GridSpec, tol: float,
         if da == 0.0 or db == 0.0 or (da > 0) == (db > 0):
             continue
         cusp, res = polish_cusp(m, (a + b) / 2)
-        if res < 1e-9:
+        if res < 1e-9 and residual(m, cusp) < tol:
             polished.append(cusp)
     cusp_points = dedup(polished, nf.DEDUP_RADIUS)
 

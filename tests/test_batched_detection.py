@@ -171,6 +171,15 @@ def test_a_detection_where_no_seed_converges():
     assert_same_detection(m, g, tol=nf.NEWTON_RESIDUAL, found=False)
 
 
+def test_a_polished_cusp_must_beat_tol_too():
+    # the polish stops at a z-gradient norm of 5.0e-13: below its own
+    # 1e-9, above this tol, so only the two coarse folds remain
+    m = nf.LocalMap(2, nf.Cusp(0))
+    got = assert_same_detection(m, grid(2, (-0.5, 0.5, 2), (-0.5, 0.5, 2)),
+                                tol=1e-13)
+    assert [s.kind for s in got] == ["fold", "fold"]
+
+
 @pytest.mark.parametrize("m", [
     nf.LocalMap(3, nf.SwallowTail(0.5)),
     nf.LocalMap(3, nf.Cusp(1)),

@@ -715,6 +715,24 @@ class TestNormalizeOutputs:
             assert run_command(argv + flags)[0] == 0
         assert len(calls) == 2
 
+    def test_an_obstruction_is_built_only_to_be_written(self, monkeypatch):
+        # likewise the obstruction document: the golden text report is
+        # printed without it, and --json or --out builds it once each
+        calls = []
+        build = serialize.obstruction_to_json
+        monkeypatch.setattr(cli.serialize, "obstruction_to_json",
+                            lambda obstruction: calls.append(1)
+                            or build(obstruction))
+        argv, = [spec["argv"] for spec in load_manifest()
+                 if spec["golden"] == "pat_norm_obstruction.txt"]
+        golden = (REPO_ROOT / "golden" / "pat_norm_obstruction.txt"
+                  ).read_text(encoding="utf-8")
+        assert run_command(argv)[:2] == (1, golden)
+        assert calls == []
+        for flags in (["--json"], ["--out", "{tmp}/obstruction.json"]):
+            assert run_command(argv + flags)[0] == 1
+        assert len(calls) == 2
+
     def test_obstruction_report_fields(self, capsys):
         code = main(["pattern", "normalize",
                      str(REPO_ROOT / "corpus" / "interval_0cusp.json"),
@@ -943,6 +961,34 @@ class TestArtifacts:
     def test_cusp_hunt_skips_a_zero_determinant(self, argv, csv, capsys):
         assert main(["trace", "cusp", *argv.split(), "--csv"]) == 0
         assert capsys.readouterr() == (csv, "")
+
+    # the cusp polish stops at a residual of 5.0e-13: the default --tol
+    # admits that cusp, and --tol 1e-13 leaves only the folds
+    @pytest.mark.parametrize("argv, csv", [
+        ("--n 2 --grid=-0.5:0.5:2,-0.5:0.5:2",
+         "t,z1,residual,class\n"
+         "-0.5,-0.408248290464,3.33066907388e-16,fold(1)\n"
+         "-5.00044450291e-13,0,5.00044450291e-13,cusp-candidate\n"
+         "-0.5,0.408248290464,3.33066907388e-16,fold(0)\n"),
+        ("--n 2 --grid=-0.5:0.5:2,-0.5:0.5:2 --tol 1e-13",
+         "t,z1,residual,class\n"
+         "-0.5,-0.408248290464,3.33066907388e-16,fold(1)\n"
+         "-0.5,0.408248290464,3.33066907388e-16,fold(0)\n"),
+    ])
+    def test_every_printed_sample_beats_tol(self, argv, csv, capsys):
+        assert main(["trace", "cusp", *argv.split(), "--csv"]) == 0
+        assert capsys.readouterr() == (csv, "")
+
+    def test_perturbed_fold_detects_and_judges_at_one_tol(self, tmp_path,
+                                                           capsys):
+        out = tmp_path / "pf.svg"
+        assert main(["trace", "perturbed-fold", "--n", "2", "--tol", "1e-13",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            "kind=perturbed-fold\nn=2\nsup_product=0.75\nsamples=41\n"
+            "max_axis_distance=1.06223624e-14\n"
+            "max_image_error=1.97215226e-31\nok=yes\n"
+            f"out={out}\n", "")
 
 
 # pattern files with a sign assignment each; only odd_circle_n2's does not

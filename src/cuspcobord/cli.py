@@ -270,8 +270,9 @@ def _cmd_trace(args) -> int:
     m = nf.LocalMap(args.n, args.model(args))
     grid = nf.default_grid(m) if args.grid is None else args.grid
     samples, found = args.detect(args, m, grid)
-    artifact = (nf.samples_to_csv(m, samples) if args.csv else
-                nf.render_svg(nf.singular_value_curve(m, samples)))
+    write = nf.samples_to_csv if args.csv else nf.render_svg
+    artifact = write(m, samples)
+    code = 0 if dict(found).get("ok", True) else 1  # perturbed-fold verdict
     extra = {"tol": args.tol, "format": "csv" if args.csv else "svg",
              "grid": [list(axis) for axis in grid.axes]}
     if args.out is not None:
@@ -281,10 +282,10 @@ def _cmd_trace(args) -> int:
         extra["content"] = artifact
     else:
         sys.stdout.write(artifact)
-        return 0
+        return code
     _emit([("kind", args.kind), ("n", args.n), *found], args.json,
           extra=extra, out=args.out)
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------

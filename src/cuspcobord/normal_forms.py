@@ -47,8 +47,6 @@ __all__ = [
     "perturbation_supremum",
     "PerturbedFoldReport",
     "perturbed_fold_image",
-    "PlanarCurve",
-    "singular_value_curve",
     "render_svg",
     "samples_to_csv",
 ]
@@ -268,9 +266,9 @@ class Fold:
         diag = np.arange(Z.shape[1])
         H[:, diag, diag] = 2 * eps
 
-    def _curve(self, m: LocalMap, samples, markers) -> PlanarCurve:
+    def _curve(self, m: LocalMap, samples, markers) -> tuple[list, tuple]:
         ts = [s.point[0] for s in samples] or [-1.0, 1.0]
-        return PlanarCurve(((min(ts), 0.0), (max(ts), 0.0)), markers)
+        return [(min(ts), 0.0), (max(ts), 0.0)], markers
 
 
 class _Unfolding:
@@ -320,11 +318,11 @@ class Cusp(_Unfolding):
     def _lead_xx(self, x: np.ndarray) -> np.ndarray:
         return 6 * x
 
-    def _curve(self, m: LocalMap, samples, markers) -> PlanarCurve:
+    def _curve(self, m: LocalMap, samples, markers) -> tuple[list, tuple]:
         xs = [s.point[1] for s in samples] or [-1.0, 1.0]
         points = [evaluate(m, (-3.0 * x ** 2, x) + (0.0,) * (m.n - 2))
                   for x in np.linspace(min(xs), max(xs), 401).tolist()]
-        return PlanarCurve(tuple(points), markers)
+        return points, markers
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,14 +352,14 @@ class SwallowTail(_Unfolding):
     def _lead_xx(self, x: np.ndarray) -> np.ndarray:
         return _pow(x, 2) - self.t
 
-    def _curve(self, m: LocalMap, samples, markers) -> PlanarCurve:
+    def _curve(self, m: LocalMap, samples, markers) -> tuple[list, tuple]:
         xs = [s.point[1] for s in samples]
         pad = 0.1 * (max(xs) - min(xs) or 1.0) if xs else 0.0
         xlo, xhi = (min(xs) - pad, max(xs) + pad) if xs else (-2.0, 2.0)
         curve = SwallowTailCurve(m.n, self.t)
         points = [curve.image_point(x)
                   for x in np.linspace(xlo, xhi, 401).tolist()]
-        return PlanarCurve(tuple(points), markers)
+        return points, markers
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,10 +409,10 @@ class PerturbedFold:
     def _graph(self, t: float) -> float:  # the predicted singular value
         return self.alpha(t) * self.beta(0.0)
 
-    def _curve(self, m: LocalMap, samples, markers) -> PlanarCurve:
+    def _curve(self, m: LocalMap, samples, markers) -> tuple[list, tuple]:
         lo, hi = self.alpha.support()
         ts = np.linspace(lo - 1.0, hi + 1.0, 401).tolist()
-        return PlanarCurve(tuple((t, self._graph(t)) for t in ts))
+        return [(t, self._graph(t)) for t in ts], ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -848,35 +846,19 @@ def perturbed_fold_image(index: int, n: int, alpha: PiecewisePoly,
 # rendering
 
 
-@dataclass(frozen=True, slots=True)
-class PlanarCurve:
-    """Polyline in the target plane with optional cusp marker points."""
-
-    points: tuple[tuple[float, float], ...]
-    cusps: tuple[tuple[float, float], ...] = ()
-
-
-def singular_value_curve(m: LocalMap,
-                         samples: Sequence[SingularSample]) -> PlanarCurve:
-    """The singular-value curve of a model to draw over the range of its
-    samples, marking each cusp candidate's image.  A perturbed fold draws
-    its predicted graph around the support of alpha, unmarked."""
-    markers = tuple(evaluate(m, s.point) for s in samples
-                    if s.kind == "cusp-candidate")
-    return m.kind._curve(m, samples, markers)
-
-
 _SVG_W, _SVG_H, _SVG_MARGIN = 480.0, 360.0, 24.0
 
 
-def render_svg(curve: PlanarCurve) -> str:
-    """Deterministic SVG of one singular-value curve; byte-stable per input."""
-    points = curve.points + curve.cusps
-    xs, ys = [x for x, _ in points], [y for _, y in points]
-    if xs:
-        lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
-    else:
-        lo_x, hi_x, lo_y, hi_y = -1.0, 1.0, -1.0, 1.0
+def render_svg(m: LocalMap, samples: Sequence[SingularSample]) -> str:
+    """Deterministic SVG of the singular-value curve of ``m`` over the range
+    of its samples, marking each cusp candidate's image.  A perturbed fold
+    draws its predicted graph around the support of alpha, unmarked."""
+    markers = tuple(evaluate(m, s.point) for s in samples
+                    if s.kind == "cusp-candidate")
+    points, cusps = m.kind._curve(m, samples, markers)
+    drawn = [*points, *cusps]
+    xs, ys = [x for x, _ in drawn], [y for _, y in drawn]
+    lo_x, hi_x, lo_y, hi_y = min(xs), max(xs), min(ys), max(ys)
     span_x = (hi_x - lo_x) or 1.0
     span_y = (hi_y - lo_y) or 1.0
     scale = min((_SVG_W - 2 * _SVG_MARGIN) / span_x,
@@ -894,13 +876,12 @@ def render_svg(curve: PlanarCurve) -> str:
         '<style>.fold{fill:none;stroke:#1a1a1a;stroke-width:1.5}'
         '.cusp{fill:#c01515;stroke:none}</style>',
     ]
-    if curve.points:
-        coords = []
-        for k, (x, y) in enumerate(curve.points):
-            px, py = to_px(x, y)
-            coords.append("%s%.3f,%.3f" % ("M" if k == 0 else "L", px, py))
-        parts.append('<path class="fold" d="%s"/>' % " ".join(coords))
-    for x, y in curve.cusps:
+    coords = []
+    for k, (x, y) in enumerate(points):
+        px, py = to_px(x, y)
+        coords.append("%s%.3f,%.3f" % ("M" if k == 0 else "L", px, py))
+    parts.append('<path class="fold" d="%s"/>' % " ".join(coords))
+    for x, y in cusps:
         px, py = to_px(x, y)
         parts.append('<circle class="cusp" cx="%.3f" cy="%.3f" r="4"/>'
                      % (px, py))

@@ -29,6 +29,10 @@ from _corpus import (REPO_ROOT, json_nodes, load_manifest, run_command,
                      run_entry)
 
 MANIFEST = load_manifest()
+# a perturbed fold whose condition holds but whose verdict reads ok=no:
+# one sample lies 1.28e-9 off the axis, above the default tol of 1e-9
+EDGE_PERTURBED_FOLD = ["trace", "perturbed-fold", "--n", "3", "--i", "1",
+                       "--alpha=0:1:-0.53333", "--beta", "0.5:1:1"]
 
 
 @pytest.mark.parametrize(
@@ -116,6 +120,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "budget" in err
         assert err.count("\n") == 1
+
+    # on stdout the artifact alone is printed, so the code is the verdict
+    @pytest.mark.parametrize("mode", ["svg", "csv", "json", "out"])
+    def test_a_failed_perturbed_fold_exits_1(self, mode, tmp_path, capsys):
+        flags = {"svg": [], "csv": ["--csv"], "json": ["--json"],
+                 "out": ["--out", str(tmp_path / "edge.svg")]}[mode]
+        assert main([*EDGE_PERTURBED_FOLD, *flags]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        if mode == "json":
+            assert json.loads(out)["ok"] is False
+        elif mode == "out":
+            assert "\nok=no\n" in out
+
+    def test_a_perturbed_fold_without_samples_exits_1(self, capsys):
+        assert main(["trace", "perturbed-fold", "--n", "2", "--grid",
+                     "0:0:1,1e200:1e200:1"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "" and hashlib.sha256(out.encode()).hexdigest() == (
+            "30bff41c336deff23a95392918ff1c2deb409746822b23751eefc0d8fafa301d")
 
     @pytest.mark.parametrize("kind", ["fold", "perturbed-fold"])
     def test_huge_dimension_is_refused_by_the_budget(self, kind, capsys):
@@ -302,8 +326,10 @@ class TestExitCodes:
         assert main(["trace", "swallowtail", f"--grid={grid}", "--csv"]) == 0
         assert capsys.readouterr() == spaced and spaced.err == ""
 
-    # the first Newton step of each seed overflows: the seed does not
-    # converge, and that is all
+    # a Newton step or a residual norm overflows: that prints nothing on
+    # stderr and no nan or inf.  Such a seed does not converge, except
+    # that the fold's one seed lands exactly on z = 0, and one seed of the
+    # cusp grid and of the swallowtail grid converges exactly
     @pytest.mark.parametrize("argv", [
         ["cusp", "--n", "2", "--grid", "-1:1:3,1e-300:1e-300:1"],
         ["fold", "--n", "2", "--grid", "0:0:1,1e200:1e200:1"],
@@ -939,7 +965,14 @@ class TestArtifacts:
         for dims in ("--n 2", "--n 3", "--k 1 --n 4")] + [
         (f"fold {dims}", "29d56e2fa2b00921d19c35cbb4ee26c0"
                          "30dbd1a10efdc4667b674667aac63f4c")
-        for dims in ("--n 2", "--i 1 --n 3")])
+        for dims in ("--n 2", "--i 1 --n 3")] + [
+        # zero samples: each kind draws its default range, unmarked
+        ("fold --n 2 --grid 0:0:1,1.7e308:1.7e308:1",
+         "29d56e2fa2b00921d19c35cbb4ee26c030dbd1a10efdc4667b674667aac63f4c"),
+        ("cusp --n 2 --grid 1:1:1,1e-300:1e-300:1",
+         "9b6cac8fce00a288edc9444a24a0cd95361a76fc969250fc9c8dbc012cb55d2f"),
+        ("swallowtail --tol 1e-300 --grid 0.5:0.5:1,0.3:0.3:1,0:0:1",
+         "1ba5477261ba9a96e650d05be6a6e2b0401d852ca8b9c64d36588525be5233b0")])
     def test_svg_stdout_digest(self, argv, digest, capsys):
         assert main(["trace", *argv.split()]) == 0
         got = capsys.readouterr().out
@@ -978,6 +1011,24 @@ class TestArtifacts:
     def test_every_printed_sample_beats_tol(self, argv, csv, capsys):
         assert main(["trace", "cusp", *argv.split(), "--csv"]) == 0
         assert capsys.readouterr() == (csv, "")
+
+    def test_a_perturbed_fold_marks_no_cusp(self, tmp_path, capsys):
+        # beta is not centred at 0, so beta'(0) != 0: at t = z = 0 the
+        # z-Hessian 2(eps + alpha(0) beta'(0)) is about diag(1.25e-5, -4),
+        # which the relative rank test reads as a drop.  That one sample is
+        # a cusp candidate, and the drawing still marks none (the exit code
+        # is pinned in TestExitCodes)
+        out = tmp_path / "edge.svg"
+        main([*EDGE_PERTURBED_FOLD, "--out", str(out)])
+        capsys.readouterr()
+        main([*EDGE_PERTURBED_FOLD, "--csv"])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert sum(row.endswith(",fold(1)") for row in rows) == 40
+        assert [row for row in rows if not row.endswith(",fold(1)")] == [
+            "0,-1.40771791831e-62,-1.2801881753e-09,1.60023521915e-14,"
+            "cusp-candidate"]
+        svg = out.read_text()
+        assert svg.count("<path") == 1 and "<circle" not in svg
 
     def test_perturbed_fold_detects_and_judges_at_one_tol(self, tmp_path,
                                                            capsys):

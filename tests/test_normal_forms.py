@@ -18,7 +18,6 @@ from cuspcobord.normal_forms import (
     LocalMap,
     PerturbedFold,
     PiecewisePoly,
-    PlanarCurve,
     SwallowTail,
     SwallowTailCurve,
     default_grid,
@@ -454,29 +453,18 @@ class TestPerturbation:
 
 class TestRendering:
     def test_svg_is_deterministic(self):
-        curve = PlanarCurve(((0.0, 0.0), (1.0, 1.0), (2.0, 0.5)),
-                            cusps=((1.0, 1.0),))
-        assert render_svg(curve) == render_svg(curve)
+        m = LocalMap(2, Cusp(0))
+        samples = detect_singular_set(m, default_grid(m), tol=1e-9)
+        assert render_svg(m, samples) == render_svg(m, samples)
 
     def test_svg_structure(self):
-        curve = PlanarCurve(((0.0, 0.0), (1.0, 1.0)), cusps=((0.5, 0.5),))
-        svg = render_svg(curve)
+        m = LocalMap(2, Cusp(0))
+        samples = detect_singular_set(m, default_grid(m), tol=1e-9)
+        svg = render_svg(m, samples)
         assert svg.startswith("<svg ")
         assert svg.count("<path") == 1
         assert svg.count("<circle") == 1
         assert svg.endswith("</svg>\n")
-
-    def test_svg_handles_empty_input(self):
-        svg = render_svg(PlanarCurve(()))
-        assert svg.startswith("<svg ") and svg.endswith("</svg>\n")
-
-    def test_an_empty_curve_draws_the_bare_frame(self):
-        assert render_svg(PlanarCurve(())) == (
-            '<svg xmlns="http://www.w3.org/2000/svg" width="480" height="360"'
-            ' viewBox="0 0 480 360">\n'
-            '<style>.fold{fill:none;stroke:#1a1a1a;stroke-width:1.5}'
-            '.cusp{fill:#c01515;stroke:none}</style>\n'
-            '</svg>\n')
 
     def test_csv_layout(self):
         m = LocalMap(2, Fold(0))

@@ -46,7 +46,7 @@ from cuspcobord.serialize import (  # noqa: E402
     trace_to_json,
 )
 
-RECORDED = ("43788ffd94f0f784c8830ecc49edd4fb917eb04aa8abea089e651d3e6be60aef"
+RECORDED = ("84a677b4f3346ac1c24a21155192c622fe4ed0713f372533cbecfa6728c61e51"
             "  1193588 normalizations")
 
 

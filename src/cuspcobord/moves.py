@@ -178,10 +178,9 @@ class _Word:
 class _State:
     """One run's working copy of a validated pattern, rewritten in place.
 
-    ``order`` lists the components' words.  ``home`` maps each element id,
-    and ``ends`` each interval endpoint, to its word; ``names`` holds the
-    cusp ("c") and arc ("a") name pools.  ``moves`` records every move
-    applied so far.
+    ``order`` lists the components' words.  ``home`` maps each element id
+    to its word; ``names`` holds the cusp ("c") and arc ("a") name pools.
+    ``moves`` records every move applied so far.
     """
 
     def __init__(self, p: SingularPattern):
@@ -190,19 +189,16 @@ class _State:
         self.order = [_Word(comp.kind, list(comp.sequence), comp.endpoints)
                       for comp in p.components]
         self.home: dict[str, _Word] = {}
-        self.ends: dict[str, _Word] = {}
         self._index(self.order)
         self.names = {"c": _NamePool("c", self.home),
                       "a": _NamePool("a", self.home)}
         self.moves: list[Move] = []
 
     def _index(self, words: list[_Word]) -> None:
-        home, ends = self.home, self.ends
+        home = self.home
         for w in words:
             for e in w.sequence:
                 home[e.id] = w
-            if w.endpoints:
-                ends.update(dict.fromkeys(w.endpoints, w))
 
     def word_at(self, idx: int) -> _Word:
         if not 0 <= idx < len(self.order):
@@ -665,8 +661,9 @@ def normalize_odd(p: SingularPattern,
     signs cancel, or report why none can.
 
     Succeeds iff the total weighted sign sum vanishes; otherwise returns a
-    sign-sum obstruction.  Endpoints of opposite weight are paired greedily
-    by id and their intervals merged so each pair bounds one interval.
+    sign-sum obstruction.  On success the trace merges the failing
+    intervals, those whose two ends weigh alike, in order: each one whose
+    ends weigh +1 with one whose ends weigh -1.
     """
     _require(p, sigma, parity=1)
     by_id = p.boundary_by_id()
@@ -678,19 +675,18 @@ def normalize_odd(p: SingularPattern,
             "sum": total,
             "expected": 0,
         })
-
-    plus = sorted(pid for pid, e in eps.items() if e == 1)
-    minus = sorted(pid for pid, e in eps.items() if e == -1)
-    # a valid pattern ends exactly one interval on each boundary point
-    comp_of = {x: i for i, comp in enumerate(p.components)
-               for x in comp.endpoints or ()}
-    if all(comp_of[x] == comp_of[y] for x, y in zip(plus, minus)):
+    if all(_odd_ok(comp, by_id, sigma) for comp in p.components):
         return MoveTrace(p, (), p)
+
     s = _State(p)
-    for x, y in zip(plus, minus):
-        wx, wy = s.ends[x], s.ends[y]
-        if wx is not wy:
-            _merge(s, wx, wy, x, y)
+    # a merge joins the first ends of its two intervals, and their second
+    # ends, and touches no other component; so each pair of opposite
+    # weights leaves two passing intervals
+    bad = [w for w in s.order if not _odd_ok(w, by_id, sigma)]
+    plus = [w for w in bad if eps[w.endpoints[0]] == 1]
+    minus = [w for w in bad if eps[w.endpoints[0]] == -1]
+    for wa, wb in zip(plus, minus):
+        _merge(s, wa, wb)
 
     assert all(_odd_ok(w, by_id, sigma) for w in s.order)
     return MoveTrace(p, tuple(s.moves), s.pattern())

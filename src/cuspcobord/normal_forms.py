@@ -57,6 +57,7 @@ HESSIAN_RANK_RATIO = 1e-5
 NEWTON_MAXITER = 80
 NEWTON_BLOCK = 2048  # seeds per batch, so memory does not grow with the grid
 MAX_SEEDS = 10 ** 6  # seed budget of one detection
+MAX_AXES = 64  # numpy's cap on array dimensions, met by GridSpec.blocks
 PERTURBATION_MARGIN = 1e-6  # sup |alpha * beta'| must stay below 1 minus this
 # Range of the swallowtail |t|.  The rank test is relative: from |t| near
 # 2 / HESSIAN_RANK_RATIO on, every fold sample reads as a cusp candidate,
@@ -488,6 +489,9 @@ class GridSpec:
     axes: tuple[tuple[float, float, int], ...]
 
     def __post_init__(self) -> None:
+        if len(self.axes) > MAX_AXES:
+            raise ValueError(
+                f"grid has {len(self.axes)} axes, more than {MAX_AXES}")
         for lo, hi, count in self.axes:
             if count < 1:
                 raise ValueError("axis count must be >= 1")

@@ -398,15 +398,15 @@ def normalize_odd(p: SingularPattern,
             "expected": 0,
         })
 
-    plus = sorted(pid for pid, e in eps.items() if e == 1)
-    minus = sorted(pid for pid, e in eps.items() if e == -1)
+    bad = [comp.endpoints[0] for comp in p.components
+           if not _odd_ok(comp, by_id, sigma)]
+    plus = [x for x in bad if eps[x] == 1]
+    minus = [x for x in bad if eps[x] == -1]
     cur = p
     moves: list[Move] = []
     for x, y in zip(plus, minus):
         ix = _endpoint_home(cur, x)
         iy = _endpoint_home(cur, y)
-        if ix == iy:
-            continue
         cur = _merge(cur, ix, iy, moves, x, y)
 
     assert all(_odd_ok(comp, by_id, sigma) for comp in cur.components)

@@ -365,6 +365,21 @@ class TestExitCodes:
         assert (child.returncode, child.stdout, child.stderr) == (
             2, "", captured.err)
 
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_a_grid_has_at_most_64_axes(self, n, capsys):
+        # a grid of one seed, at the numpy cap on array dimensions and
+        # one axis over it
+        argv = ["trace", "fold", "--n", str(n),
+                "--grid=" + ",".join(["0:0:1"] * n), "--csv"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if n == 64:
+            assert (code, err) == (0, "")
+            assert out.count("\n") == 2 and out.endswith(",fold(0)\n")
+        else:
+            assert (code, out, err) == (
+                2, "", "error: --grid: grid has 65 axes, more than 64\n")
+
     def test_internal_error_exits_3_with_one_line(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.mv, "replay", lambda trace: trace.initial)
         code = main(["pattern", "normalize",

@@ -26,10 +26,13 @@ from cuspcobord.moves import (
     replay,
     toggle_parity,
 )
+from cuspcobord.morse import BoundaryCriticalPoint
 from cuspcobord.pattern import (
     CIRCLE,
     INTERVAL,
+    Component,
     FoldArc,
+    SingularPattern,
     aggregate_even,
     aggregate_odd,
     check_condition_even,
@@ -431,6 +434,37 @@ class TestNormalizeOdd:
         with pytest.raises(PreconditionError):
             normalize_odd(p, SignAssignment({}))
 
+    @staticmethod
+    def _crossed(*ends):
+        """n = 3 intervals of one top-index arc on the given endpoint
+        pairs, every endpoint of index mu = 0, and the signs a, c, e: +1
+        and b, d, f: -1 on those endpoints."""
+        comps = tuple(Component(INTERVAL, (FoldArc(f"a{k}", 2),), pair)
+                      for k, pair in enumerate(ends))
+        points = [x for pair in ends for x in pair]
+        return (SingularPattern(3, comps, tuple(
+                    BoundaryCriticalPoint(x, 0, 1) for x in points)),
+                SignAssignment({x: 1 if x in "ace" else -1 for x in points}))
+
+    def test_passing_intervals_are_returned_as_they_are(self):
+        # each interval's ends weigh +1 and -1, so both already pass
+        p, sigma = self._crossed(("a", "d"), ("c", "b"))
+        assert check_condition_odd(p, sigma) == [True, True]
+        out = normalize_odd(p, sigma)
+        assert isinstance(out, MoveTrace) and out.moves == ()
+        assert out.final is p
+
+    def test_only_the_failing_intervals_are_merged(self):
+        p, sigma = self._crossed(("a", "d"), ("c", "e"), ("b", "f"))
+        assert check_condition_odd(p, sigma) == [True, False, False]
+        out = normalize_odd(p, sigma)
+        # one merge: a ladder step on each interval, two creations and one
+        # elimination
+        assert len(out.moves) == 5
+        assert p.components[0] in out.final.components
+        assert replay(out) == out.final
+        assert all(check_condition_odd(out.final, sigma))
+
     def test_a_long_ladder_stays_within_its_time_bound(self):
         # two intervals of one top-index arc: the merge ladders each down to
         # (n - 1) / 2, growing one word to 2n elements in 12,803 moves; when
@@ -665,7 +699,7 @@ class TestRunsWithoutMoves:
         (build_pattern(2, (("circle", (1, 1), (0, 0)),
                            ("interval", (1,), (), 0, 0))),
          SignAssignment({"x0": 1, "x1": -1}), 1),
-        # two intervals whose endpoints already pair up greedily
+        # two intervals whose endpoint weights already cancel
         (build_pattern(3, (("interval", (1,), (), 1, 1),
                            ("interval", (2,), (), 0, 0))),
          SignAssignment({"x0": 1, "x1": -1, "x2": 1, "x3": -1}), None),

@@ -19,12 +19,13 @@ drivers are built from the atomic moves; a trace records only atomic moves,
 so it replays move by move.
 
 Each public move, driver and ``replay`` validates its (initial) pattern
-once and raises ``PreconditionError`` for an invalid one.  Unless it needs
-no move, it then builds one working state (``_State``) and runs every move
-of the call on it.  Both moves are local, so a valid pattern stays valid
-when a move's own preconditions hold; inside, each move checks only what it
-touches: the transitions at created cusps, equal indices on fused arcs and
-the re-paired interval ends.  One run does at most ``MAX_MOVES`` moves.
+once and raises ``PreconditionError`` for an invalid one; a call of more
+than one move counts them from the input and refuses more than
+``MAX_MOVES``.  Unless it needs no move, it then builds one working state
+(``_State``) and runs every move of the call on it.  Both moves are local,
+so a valid pattern stays valid when a move's own preconditions hold;
+inside, each move checks only what it touches: the transitions at created
+cusps, equal indices on fused arcs and the re-paired interval ends.
 
 The state holds each component as a mutable word (``_Word``): one list of
 its elements, indexed by element id and interval endpoint.  Two pools hand
@@ -267,25 +268,20 @@ def _scan(components: tuple[Component, ...], eid: str,
     raise _missing(eid, kind)
 
 
-def _budget_error() -> PreconditionError:
-    return PreconditionError(
-        f"the rewrite needs more than {MAX_MOVES} moves, the budget of one "
-        f"run")
-
-
-def _record(s: _State, move: Move) -> None:
-    """Record one atomic move of the run, replayed or not.  Both moves
-    record themselves here, so here the run's budget is kept."""
-    if len(s.moves) >= MAX_MOVES:
-        raise _budget_error()
-    s.moves.append(move)
+def _budget(count: int) -> None:
+    """Refuse a run of ``count`` moves, before its first, if over budget."""
+    if count > MAX_MOVES:
+        raise PreconditionError(
+            f"the rewrite needs more than {MAX_MOVES} moves, the budget of "
+            f"one run")
 
 
 def _create(s: _State, arc: str, i: int, flip: bool = False
             ) -> tuple[str, str, str, Optional[str]]:
     """Create the pair; returns the ids of the two cusps, the inner arc and
     the new right arc (None on a bare circle, whose arc is not split)."""
-    _record(s, Move("create_cusp_pair", {"arc": arc, "i": i, "flip": flip}))
+    s.moves.append(Move("create_cusp_pair",
+                        {"arc": arc, "i": i, "flip": flip}))
     n = s.n
     if not 0 <= i <= n - 2:
         raise PreconditionError(f"cusp index i={i} outside [0, {n - 2}]")
@@ -444,7 +440,7 @@ def _eliminate(s: _State, cusp1: str, cusp2: str, reconnection: str = STAY,
     """Eliminate the pair; returns the words it leaves in place of the ones
     it cut (intervals first, then circles).  The drivers vouch for
     removability in dimension 2 themselves (``s.n == 2``)."""
-    _record(s, Move("eliminate_matching_pair", {
+    s.moves.append(Move("eliminate_matching_pair", {
         "cusp1": cusp1, "cusp2": cusp2, "reconnection": reconnection,
         "assume_removable": assume_removable}))
     at1, at2 = _matching_pair(s.n, s.find, cusp1, cusp2)
@@ -499,25 +495,24 @@ def _apply(s: _State, move: Move):
     return _MOVES[move.kind](s, **move.params)
 
 
-def _ladder_to(s: _State, w: _Word, target_tau: int) -> str:
-    """Create pairs on a component until it carries an arc of the target
-    index, and return the id of the first such arc.
-
-    Each step creates on the lowest-index arc, whose inner arc is then the
-    only arc one index lower; so the ladder follows the inner arcs, and
-    needs exactly (lowest index - target) steps, refused up front when they
-    would overrun the move budget."""
-    arcs = w.sequence[::2]
-    hit = next((a for a in arcs if a.tau == target_tau), None)
-    if hit is not None:
-        return hit.id
-    tmin = min(a.tau for a in arcs)
-    if tmin <= target_tau:
+def _ladder_len(w: Union[Component, _Word], target_tau: int) -> int:
+    """The creations ``_ladder_to`` makes: the lowest arc index minus the
+    target, which no arc index is below, so 0 if an arc has the target
+    index.  A toggle or a merge makes three moves besides its ladders."""
+    steps = min(a.tau for a in w.sequence[::2]) - target_tau
+    if steps < 0:
         raise AssertionError("internal: ladder overshot the target index")
-    if len(s.moves) + tmin - target_tau > MAX_MOVES:
-        raise _budget_error()
-    arc_id = next(a for a in arcs if a.tau == tmin).id
-    for tau in range(tmin, target_tau, -1):
+    return steps
+
+
+def _ladder_to(s: _State, w: _Word, target_tau: int) -> str:
+    """Make the ``_ladder_len`` creations that give a component an arc of
+    the target index, and return the id of the first such arc: each step
+    creates on the first lowest-index arc, whose inner arc is then the
+    only arc one index lower."""
+    low = min(w.sequence[::2], key=attrgetter("tau"))
+    arc_id = low.id
+    for tau in range(low.tau, target_tau, -1):
         arc_id = _create(s, arc_id, s.n - 1 - tau)[2]
     return arc_id
 
@@ -545,6 +540,7 @@ def toggle_parity(p: SingularPattern, comp_idx: int) -> SingularPattern:
     w = s.word_at(comp_idx)
     if w.kind != INTERVAL:
         raise PreconditionError("parity toggle acts on interval components")
+    _budget(_ladder_len(w, s.n // 2) + 3)
     _toggle_parity(s, w)
     return s.pattern()
 
@@ -591,6 +587,7 @@ def merge_components(p: SingularPattern, idx_a: int, idx_b: int,
                 words[-1].endpoints or ()):
             raise PreconditionError(
                 f"{point_id!r} is not an endpoint of component {idx}")
+    _budget(sum(_ladder_len(w, (s.n - 1) // 2) for w in words) + 3)
     _merge(s, *words, endpoint_a, endpoint_b)
     return s.pattern()
 
@@ -625,14 +622,24 @@ def normalize_even(p: SingularPattern, sigma: SignAssignment,
             "lhs_mod2": chi_V % 2,
             "rhs_mod2": cp % 2,
         })
-    if all(_even_ok(comp, sigma) for comp in p.components):
+    comps = p.components
+    bad = [k for k, comp in enumerate(comps) if not _even_ok(comp, sigma)]
+    if not bad:
         return MoveTrace(p, (), p)
+    toggled = [k for k in bad if comps[k].kind == INTERVAL]
+    odd = [comps[k] for k in bad if comps[k].kind == CIRCLE]
+    # each toggle adds a one-cusp circle; odd circles fuse in pairs, and in
+    # dimension 2 a fused circle sheds its cusps in pairs
+    count = sum(_ladder_len(comps[k], n // 2) + 3 for k in toggled)
+    count += (len(odd) + len(toggled)) // 2
+    if n == 2:
+        count += (sum(c.cusp_count for c in odd) - len(odd)) // 2
+    _budget(count)
 
     s = _State(p)
     # a toggle fixes its interval and touches no other, so the failing
     # intervals are toggled in order, each once
-    for w in [w for w in s.order
-              if w.kind == INTERVAL and not _even_ok(w, sigma)]:
+    for w in [s.order[k] for k in toggled]:
         _toggle_parity(s, w)
 
     # fusing two odd circles leaves one even circle in place of the first,
@@ -675,18 +682,23 @@ def normalize_odd(p: SingularPattern,
             "sum": total,
             "expected": 0,
         })
-    if all(_odd_ok(comp, by_id, sigma) for comp in p.components):
+    comps = p.components
+    bad = [k for k, comp in enumerate(comps)
+           if not _odd_ok(comp, by_id, sigma)]
+    if not bad:
         return MoveTrace(p, (), p)
-
-    s = _State(p)
     # a merge joins the first ends of its two intervals, and their second
     # ends, and touches no other component; so each pair of opposite
-    # weights leaves two passing intervals
-    bad = [w for w in s.order if not _odd_ok(w, by_id, sigma)]
-    plus = [w for w in bad if eps[w.endpoints[0]] == 1]
-    minus = [w for w in bad if eps[w.endpoints[0]] == -1]
-    for wa, wb in zip(plus, minus):
-        _merge(s, wa, wb)
+    # weights leaves two passing intervals, after a ladder on each
+    plus = [k for k in bad if eps[comps[k].endpoints[0]] == 1]
+    minus = [k for k in bad if eps[comps[k].endpoints[0]] == -1]
+    t = (p.n - 1) // 2
+    _budget(sum(_ladder_len(comps[k], t) for k in bad) + 3 * len(plus))
+
+    s = _State(p)
+    words = list(s.order)
+    for a, b in zip(plus, minus):
+        _merge(s, words[a], words[b])
 
     assert all(_odd_ok(w, by_id, sigma) for w in s.order)
     return MoveTrace(p, tuple(s.moves), s.pattern())
@@ -697,6 +709,7 @@ def replay(trace: MoveTrace) -> SingularPattern:
     validate_pattern(trace.initial).require("initial pattern")
     if not trace.moves:
         return trace.initial
+    _budget(len(trace.moves))
     s = _State(trace.initial)
     for move in trace.moves:
         _apply(s, move)

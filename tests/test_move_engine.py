@@ -5,6 +5,7 @@ import importlib.util
 import json
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -285,8 +286,8 @@ class TestMoveBudget:
         monkeypatch.setattr(mv, "MAX_MOVES", 9)
         with pytest.raises(PreconditionError, match="more than 9 moves"):
             mv.normalize_odd(p, self.SIGMA)
-        # the first ladder (5 moves) fits; the second would end at 10
-        assert len(created) == 5
+        # the run counts its 13 moves before the first, so no ladder starts
+        assert len(created) == 0
 
     def test_budget_counts_every_move(self, monkeypatch):
         p = self._ladder_pattern(11)
@@ -300,11 +301,71 @@ class TestMoveBudget:
             mv.replay(trace)
 
     def test_huge_dimension_is_refused_at_once(self):
-        p = self._ladder_pattern(10 ** 9 + 1)
-        t0 = time.perf_counter()
-        with pytest.raises(PreconditionError, match="more than 100000 moves"):
-            mv.normalize_odd(p, self.SIGMA)
-        assert time.perf_counter() - t0 < 0.5
+        # at n = 200,001 each ladder alone fits the budget; making the
+        # first before refusing took about 3 s
+        n = 200_001
+        toggled = build_pattern(n + 1, (("interval", (n,), (), 0, 0),))
+        for run in (
+                partial(mv.normalize_odd, self._ladder_pattern(10 ** 9 + 1),
+                        self.SIGMA),
+                partial(mv.normalize_odd, self._ladder_pattern(n),
+                        self.SIGMA),
+                partial(mv.toggle_parity, toggled, 0),
+                partial(mv.merge_components, self._ladder_pattern(n), 0, 1)):
+            t0 = time.perf_counter()
+            with pytest.raises(PreconditionError,
+                               match="more than 100000 moves"):
+                run()
+            assert time.perf_counter() - t0 < 0.5
+
+    def test_each_run_counts_its_moves_before_the_first(self, monkeypatch):
+        # with the budget one move short a run makes no move; at its length
+        # the run is the same.  The n = 2 circles of 3 cusps are stripped
+        # of their cusps after fusing, the one count that is not a ladder.
+        created = []
+        create = mv._create
+
+        def counting(*args):
+            created.append(args)
+            return create(*args)
+
+        monkeypatch.setattr(mv, "_create", counting)
+        rng = random.Random(36)
+        full = mv.MAX_MOVES
+        runs = stripped = 0
+        for n, max_cusps, share in ((2, 3, 1.0), (3, 2, 1.0), (4, 2, 0.15),
+                                    (5, 2, 0.2)):
+            for p in patterns_up_to(n, 3, max_cusps, random.Random(7 + n),
+                                    triple_samples=100):
+                # the one chi_V that the cusp-parity law admits
+                chi_v = (p.total_cusps - len(p.boundary_points) // 2) % 2
+                for sigma in sign_assignments(p):
+                    if rng.random() >= share:
+                        continue
+                    if n % 2 == 0:
+                        run = partial(mv.normalize_even, p, sigma, chi_v)
+                    else:
+                        run = partial(mv.normalize_odd, p, sigma)
+                    monkeypatch.setattr(mv, "MAX_MOVES", full)
+                    trace = run()
+                    if isinstance(trace, mv.Obstruction) or not trace.moves:
+                        continue
+                    count = len(trace.moves)
+                    for refused in (run, partial(mv.replay, trace)):
+                        monkeypatch.setattr(mv, "MAX_MOVES", count - 1)
+                        created.clear()
+                        with pytest.raises(PreconditionError,
+                                           match="budget of one run"):
+                            refused()
+                        assert created == []
+                    monkeypatch.setattr(mv, "MAX_MOVES", count)
+                    assert run() == trace
+                    assert mv.replay(trace) == trace.final
+                    runs += 1
+                    stripped += n == 2 and any(
+                        c.kind == CIRCLE and c.cusp_count == 3
+                        for c in p.components)
+        assert runs > 5000 and stripped > 0
 
     def test_cli_exits_2_with_one_line(self, tmp_path, capsys):
         p = self._ladder_pattern(10 ** 9 + 1)
